@@ -13,8 +13,10 @@ engine is checked against, so it stays deliberately plain.
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
-from .counting import OpTally, Scalar, counted_add, counted_mul
+from .counting import OpTally, Scalar
 
 
 def _is_finite(value: Scalar) -> bool:
@@ -138,8 +140,7 @@ def reverse_permute(signal) -> Signal:
     contributes to an operation tally.
     """
     z = as_signal(signal).samples
-    n = len(z)
-    return Signal((z[0],) + tuple(z[n - k] for k in range(1, n)))
+    return Signal(z[:1] + z[:0:-1])
 
 
 def rotate(signal, steps: int) -> Signal:
@@ -171,13 +172,11 @@ def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Sig
         tally = OpTally()
     n = len(b)
     bs = b.samples
-    zs = z.samples
-    out = []
-    for p in range(n):
-        acc = counted_mul(bs[0], zs[p], tally)
-        for l in range(1, n):
-            acc = counted_add(acc, counted_mul(bs[l], zs[(p - l) % n], tally), tally)
-        out.append(acc)
+    # rev[n - 1 - p + l] == z[(p - l) mod n], so output p reads one window.
+    rev = z.samples[::-1] * 2
+    out = [reduce(add, map(mul, bs, rev[n - 1 - p:2 * n - 1 - p])) for p in range(n)]
+    tally.mults += n * n
+    tally.adds += n * (n - 1)
     return Signal(out)
 
 

@@ -26,8 +26,11 @@ advisory warning.
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add, mul, sub
 
-from .counting import OpTally, Scalar, counted_add, counted_mul, counted_sub
+from .counting import OpTally, Scalar
 from .core import Signal, as_signal, is_prime, reverse_permute
 
 
@@ -97,46 +100,44 @@ class ConvolutionTrace:
 
 
 def _execute(plan: FastPlan, z: Signal, tally: OpTally):
+    # Each loop runs at C level (map/reduce over slices), keeps the operation
+    # order of the schedule described in the module docstring, and charges
+    # the tally once with that loop's exact count.
     n = plan.length
-    w = plan.diff_weights
     y = reverse_permute(z).samples
 
-    total = y[0]
-    for j in range(1, n):
-        total = counted_add(total, y[j], tally)
-    base = counted_mul(plan.kernel_mean, total, tally)
+    base = plan.kernel_mean * reduce(add, y)
+    tally.adds += n - 1
+    tally.mults += 1
 
-    # Strict upper triangle of weighted pairwise differences.
-    upper = []
-    for i in range(n - 1):
-        row = []
-        for j in range(i + 1, n):
-            diff = counted_sub(y[j], y[i], tally)
-            row.append(counted_mul(w[(i + j) % n], diff, tally))
-        upper.append(row)
+    # Strict upper triangle of weighted pairwise differences:
+    # upper[i][j - i - 1] = w[(i + j) mod n] * (y[j] - y[i]).  The doubled
+    # weights turn (i + j) mod n into the slice w2[2i + 1 : i + n].
+    w2 = plan.diff_weights * 2
+    upper = [list(map(mul, w2[2 * i + 1:i + n], map(sub, y[i + 1:], repeat(y[i]))))
+             for i in range(n - 1)]
+    pairs = n * (n - 1) // 2
+    tally.adds += pairs
+    tally.mults += pairs
 
-    # Signed fold over row i: +table[i][j] for j > i, -table[j][i] for j < i,
-    # ascending j.  The leading term seeds the accumulator (a sign flip is
-    # bookkeeping, not arithmetic).
-    sums = []
-    for i in range(n - 1):
-        acc = None
-        for j in range(n):
-            if j == i:
-                continue
-            if j > i:
-                term = upper[i][j - i - 1]
-                acc = term if acc is None else counted_add(acc, term, tally)
-            else:
-                term = upper[j][i - j - 1]
-                acc = -term if acc is None else counted_sub(acc, term, tally)
-        sums.append(acc)
+    # Signed fold over row i: -table[j][i] for j < i, then +table[i][j] for
+    # j > i, ascending j.  The leading term seeds the accumulator (a sign
+    # flip is bookkeeping, not arithmetic).  Column i of the table is read
+    # by advancing one iterator per row: row j yields its entries in the
+    # order i = j+1, j+2, ...
+    rows = [iter(row) for row in upper]
+    sums = [reduce(add, upper[0])]
+    for i in range(1, n - 1):
+        column = map(next, rows[:i])
+        sums.append(reduce(add, upper[i], reduce(sub, column, -next(column))))
+    tally.adds += (n - 1) * (n - 2)
     # The corrections are constrained to sum to zero; reconstructing the
     # last one resolves a linear dependency rather than computing anything
     # new, so it stays off the tally (see docs/counting_model.md).
     sums.append(-sum(sums))
 
-    out = [counted_sub(base, value, tally) for value in sums]
+    out = list(map(sub, repeat(base), sums))
+    tally.adds += n
     return y, base, upper, sums, out
 
 

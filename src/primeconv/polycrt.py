@@ -15,9 +15,11 @@ sit on the precomputation side of the counting model.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import add, mul, sub
 
-from .counting import OpTally, counted_add, counted_mul, counted_sub
+from .counting import OpTally
 from .core import Signal, as_signal, is_prime
 
 # Relative magnitude below which a trailing coefficient does not count
@@ -42,7 +44,7 @@ class Polynomial:
     def degree(self) -> int:
         """Numerical degree: trailing coefficients tiny relative to the
         largest one are treated as zero.  The zero polynomial has degree -1."""
-        scale = max(abs(c) for c in self.coeffs)
+        scale = max(map(abs, self.coeffs))
         if scale == 0.0:
             return -1
         threshold = scale * DEGREE_RTOL
@@ -63,15 +65,11 @@ class Polynomial:
 
     def __add__(self, other):
         size = max(len(self.coeffs), len(other.coeffs))
-        a = self._padded(size)
-        b = other._padded(size)
-        return Polynomial(x + y for x, y in zip(a, b))
+        return Polynomial(map(add, self._padded(size), other._padded(size)))
 
     def __sub__(self, other):
         size = max(len(self.coeffs), len(other.coeffs))
-        a = self._padded(size)
-        b = other._padded(size)
-        return Polynomial(x - y for x, y in zip(a, b))
+        return Polynomial(map(sub, self._padded(size), other._padded(size)))
 
     def __mul__(self, other):
         out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -98,20 +96,24 @@ def poly_mul(a: Polynomial, b: Polynomial, tally: OpTally | None = None) -> Poly
     """
     if tally is None:
         tally = OpTally()
-    out = [None] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, av in enumerate(a.coeffs):
-        for j, bv in enumerate(b.coeffs):
-            term = counted_mul(av, bv, tally)
-            k = i + j
-            out[k] = term if out[k] is None else counted_add(out[k], term, tally)
-    return Polynomial(out)
+    # Slot k sums a[i] * b[k - i] in ascending i, seeded by its first
+    # product.  With rb = reversed b, rb[lb - 1 - k + i] == b[k - i], so each
+    # slot multiplies a slice of a against a slice of rb (map stops at the
+    # shorter one).
+    ac, rb = a.coeffs, b.coeffs[::-1]
+    la, lb = len(ac), len(rb)
+    head = [reduce(add, map(mul, ac[:k + 1], rb[lb - 1 - k:lb - 1 - k + la])) for k in range(lb)]
+    tail = [reduce(add, map(mul, ac[k - lb + 1:k + 1], rb)) for k in range(lb, la + lb - 1)]
+    tally.mults += la * lb
+    tally.adds += (la - 1) * (lb - 1)
+    return Polynomial(head + tail)
 
 
 def poly_divmod(num: Polynomial, den: Polynomial, tally: OpTally | None = None):
     """Long division: returns (quotient, remainder) with num = q*den + r.
 
     The divisor is normalized to monic once per division (divisor-side
-    work, untallied); the elimination steps run through counted ops.
+    work, untallied); the elimination steps are tallied.
     """
     dd = den.degree()
     if dd < 0:
@@ -130,10 +132,12 @@ def poly_divmod(num: Polynomial, den: Polynomial, tally: OpTally | None = None):
     for k in range(top - dd, -1, -1):
         q = rem[k + dd]
         quot[k] = q
-        for j in range(dd):
-            rem[k + j] = counted_sub(rem[k + j], counted_mul(q, monic[j], tally), tally)
+        rem[k:k + dd] = map(sub, rem[k:k + dd], map(mul, repeat(q), monic))
         rem[k + dd] = 0.0  # eliminated exactly against the monic leading one
-    quotient = Polynomial(c * inv_lead for c in quot)
+    steps = len(quot) * dd
+    tally.mults += steps
+    tally.adds += steps
+    quotient = Polynomial(map(mul, quot, repeat(inv_lead)))
     remainder = Polynomial(rem[:dd] if dd > 0 else (0.0,))
     return quotient, remainder
 
@@ -276,13 +280,14 @@ def _reduce_mod_all_ones(coeffs, n: int, tally: OpTally | None = None) -> list:
     """
     if tally is None:
         tally = OpTally()
-    work = list(coeffs)
-    for k in range(n, len(work)):
-        work[k - n] = counted_add(work[k - n], work[k], tally)
-    del work[n:]
+    work = list(coeffs[:n])
+    for start in range(n, len(coeffs), n):
+        wrapped = coeffs[start:start + n]
+        work[:len(wrapped)] = map(add, work, wrapped)
+    tally.adds += max(0, len(coeffs) - n)
     if len(work) == n:
-        top = work[n - 1]
-        work = [counted_sub(work[j], top, tally) for j in range(n - 1)]
+        work = list(map(sub, work[:n - 1], repeat(work[n - 1])))
+        tally.adds += n - 1
     else:
         work = work + [0.0] * (n - 1 - len(work))
     return work
@@ -318,10 +323,9 @@ def winograd_two_factor_convolution(kernel, data, tally: OpTally | None = None,
     system = two_factor_system(n)
 
     kernel_total = sum(b.samples)  # kernel side, precomputed
-    data_total = z.samples[0]
-    for value in z.samples[1:]:
-        data_total = counted_add(data_total, value, tally)
-    point_product = counted_mul(kernel_total, data_total, tally)
+    point_product = kernel_total * reduce(add, z.samples)
+    tally.adds += n - 1
+    tally.mults += 1
 
     kernel_residue = Polynomial(_reduce_mod_all_ones(b.samples, n))
     data_residue = Polynomial(_reduce_mod_all_ones(z.samples, n, tally))

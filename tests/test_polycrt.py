@@ -6,6 +6,7 @@ from primeconv.counting import OpTally
 from primeconv.fast import predicted_counts
 from primeconv.polycrt import (
     Polynomial,
+    _reduce_mod_all_ones,
     build_residue_system,
     coefficient_distance,
     crt_reconstruct,
@@ -186,6 +187,14 @@ def test_two_factor_system_product_is_cyclic_modulus():
         assert coefficient_distance(system.product, expected) < 1e-9
     with pytest.raises(ValueError):
         two_factor_system(1)
+
+
+def test_reduce_mod_all_ones_wraps_every_power():
+    # x^6 = (x^3)^2 == 1 mod x^2 + x + 1: every exponent at or above n wraps,
+    # including those at or above 2n.
+    tally = OpTally()
+    assert _reduce_mod_all_ones([0.0] * 6 + [1.0], 3, tally) == [1.0, 0.0]
+    assert tally.counts == (0, 4 + 2)
 
 
 # --- the two-factor engine ------------------------------------------------------
