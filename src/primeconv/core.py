@@ -13,8 +13,6 @@ engine is checked against, so it stays deliberately plain.
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, mul
 
 from .counting import OpTally, Scalar
 
@@ -171,10 +169,15 @@ def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Sig
     if tally is None:
         tally = OpTally()
     n = len(b)
-    bs = b.samples
+    b0, rest = b.samples[0], b.samples[1:]
     # rev[n - 1 - p + l] == z[(p - l) mod n], so output p reads one window.
     rev = z.samples[::-1] * 2
-    out = [reduce(add, map(mul, bs, rev[n - 1 - p:2 * n - 1 - p])) for p in range(n)]
+    out = []
+    for p in range(n):
+        acc = b0 * rev[n - 1 - p]
+        for bl, zl in zip(rest, rev[n - p:2 * n - 1 - p]):
+            acc += bl * zl
+        out.append(acc)
     tally.mults += n * n
     tally.adds += n * (n - 1)
     return Signal(out)

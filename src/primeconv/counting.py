@@ -1,11 +1,12 @@
 """Scalar arithmetic with explicit operation tallies.
 
-Engines in this package run their data paths as C-level loops and charge
-an ``OpTally`` once per loop with the exact number of data-dependent
-multiplications and additions that loop performed.  The helpers below do
-one operation and charge it; the test suite's per-operation reference
-loops are built on them, and the engines must match those loops bit for
-bit and count for count.  The unit of account is one scalar field
+Engines in this package run their data paths as loops with inline
+arithmetic, no Python call per scalar operation, and charge an ``OpTally``
+once per loop with the exact number of data-dependent multiplications and
+additions that loop performed.  The helpers below do one operation and
+charge it; the test suite's per-operation reference loops are built on
+them, and the engines must match those loops bit for bit and count for
+count.  The unit of account is one scalar field
 operation: a complex multiply counts as one multiplication, and a
 subtraction counts as one addition.  Work that depends only on the fixed
 convolution kernel (plan construction, recombination constants, twiddle

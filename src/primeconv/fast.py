@@ -27,8 +27,7 @@ advisory warning.
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
-from operator import add, mul, sub
+from operator import add
 
 from .counting import OpTally, Scalar
 from .core import Signal, as_signal, is_prime, reverse_permute
@@ -99,10 +98,24 @@ class ConvolutionTrace:
     output: Signal
 
 
+def _pair_rows(plan: FastPlan, y):
+    """Rows of the strict upper triangle, built lazily one at a time.
+
+    Row i holds table[i][j] = w[(i + j) mod n] * (y[j] - y[i]) for
+    j = i+1 .. n-1; the doubled weights turn (i + j) mod n into the slice
+    w2[2i + 1 : i + n].
+    """
+    n = plan.length
+    w2 = plan.diff_weights * 2
+    return ([wk * (yj - yi) for wk, yj in zip(w2[2 * i + 1:i + n], y[i + 1:])]
+            for i, yi in enumerate(y[:n - 1]))
+
+
 def _execute(plan: FastPlan, z: Signal, tally: OpTally):
-    # Each loop runs at C level (map/reduce over slices), keeps the operation
-    # order of the schedule described in the module docstring, and charges
-    # the tally once with that loop's exact count.
+    # Each loop does its arithmetic inline (no Python call per scalar
+    # operation), keeps the operation order of the schedule described in the
+    # module docstring, and charges the tally once with that loop's exact
+    # count.
     n = plan.length
     y = reverse_permute(z).samples
 
@@ -110,35 +123,36 @@ def _execute(plan: FastPlan, z: Signal, tally: OpTally):
     tally.adds += n - 1
     tally.mults += 1
 
-    # Strict upper triangle of weighted pairwise differences:
-    # upper[i][j - i - 1] = w[(i + j) mod n] * (y[j] - y[i]).  The doubled
-    # weights turn (i + j) mod n into the slice w2[2i + 1 : i + n].
-    w2 = plan.diff_weights * 2
-    upper = [list(map(mul, w2[2 * i + 1:i + n], map(sub, y[i + 1:], repeat(y[i]))))
-             for i in range(n - 1)]
-    pairs = n * (n - 1) // 2
-    tally.adds += pairs
-    tally.mults += pairs
-
     # Signed fold over row i: -table[j][i] for j < i, then +table[i][j] for
     # j > i, ascending j.  The leading term seeds the accumulator (a sign
-    # flip is bookkeeping, not arithmetic).  Column i of the table is read
-    # by advancing one iterator per row: row j yields its entries in the
-    # order i = j+1, j+2, ...
-    rows = [iter(row) for row in upper]
-    sums = [reduce(add, upper[0])]
-    for i in range(1, n - 1):
-        column = map(next, rows[:i])
-        sums.append(reduce(add, upper[i], reduce(sub, column, -next(column))))
-    tally.adds += (n - 1) * (n - 2)
+    # flip is bookkeeping, not arithmetic).  Each row is folded as soon as it
+    # is built, so the table is never held whole: ``columns`` carries the
+    # column parts, columns[k] = -table[0][c] - ... - table[i][c] for column
+    # c = i + 1 + k after row i, up to the last folded column c = n - 2.
+    rows = _pair_rows(plan, y)
+    first = next(rows)
+    acc = first[0]
+    for term in first[1:]:
+        acc += term
+    sums = [acc]
+    columns = [-term for term in first[:-1]]
+    for row in rows:
+        acc = columns[0]
+        for term in row:
+            acc += term
+        sums.append(acc)
+        columns = [c - term for c, term in zip(columns[1:], row)]
+    pairs = n * (n - 1) // 2
+    tally.adds += pairs + (n - 1) * (n - 2)
+    tally.mults += pairs
     # The corrections are constrained to sum to zero; reconstructing the
     # last one resolves a linear dependency rather than computing anything
     # new, so it stays off the tally (see docs/counting_model.md).
     sums.append(-sum(sums))
 
-    out = list(map(sub, repeat(base), sums))
+    out = [base - value for value in sums]
     tally.adds += n
-    return y, base, upper, sums, out
+    return y, base, sums, out
 
 
 def fast_cyclic_convolution(plan: FastPlan, data, tally: OpTally | None = None) -> Signal:
@@ -161,11 +175,11 @@ def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
     z = as_signal(data)
     if len(z) != plan.length:
         raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
-    y, base, upper, sums, out = _execute(plan, z, OpTally())
+    y, base, sums, out = _execute(plan, z, OpTally())
     return ConvolutionTrace(
         aligned=tuple(y),
         base=base,
-        pair_table=tuple(tuple(row) for row in upper),
+        pair_table=tuple(tuple(row) for row in _pair_rows(plan, y)),
         component_sums=tuple(sums),
         output=Signal(out),
     )

@@ -97,16 +97,22 @@ def poly_mul(a: Polynomial, b: Polynomial, tally: OpTally | None = None) -> Poly
     if tally is None:
         tally = OpTally()
     # Slot k sums a[i] * b[k - i] in ascending i, seeded by its first
-    # product.  With rb = reversed b, rb[lb - 1 - k + i] == b[k - i], so each
-    # slot multiplies a slice of a against a slice of rb (map stops at the
-    # shorter one).
+    # product.  With rb = reversed b, rb[lb - 1 - k + i] == b[k - i], so slot
+    # k zips a slice of a against a slice of rb (zip stops at the shorter one).
     ac, rb = a.coeffs, b.coeffs[::-1]
     la, lb = len(ac), len(rb)
-    head = [reduce(add, map(mul, ac[:k + 1], rb[lb - 1 - k:lb - 1 - k + la])) for k in range(lb)]
-    tail = [reduce(add, map(mul, ac[k - lb + 1:k + 1], rb)) for k in range(lb, la + lb - 1)]
+    out = []
+    for k in range(la + lb - 1):
+        lo = max(0, k - lb + 1)
+        pairs = zip(ac[lo:k + 1], rb[lb - 1 - k + lo:])
+        av, bv = next(pairs)
+        acc = av * bv
+        for av, bv in pairs:
+            acc += av * bv
+        out.append(acc)
     tally.mults += la * lb
     tally.adds += (la - 1) * (lb - 1)
-    return Polynomial(head + tail)
+    return Polynomial(out)
 
 
 def poly_divmod(num: Polynomial, den: Polynomial, tally: OpTally | None = None):
@@ -132,7 +138,7 @@ def poly_divmod(num: Polynomial, den: Polynomial, tally: OpTally | None = None):
     for k in range(top - dd, -1, -1):
         q = rem[k + dd]
         quot[k] = q
-        rem[k:k + dd] = map(sub, rem[k:k + dd], map(mul, repeat(q), monic))
+        rem[k:k + dd] = [r - q * m for r, m in zip(rem[k:k + dd], monic)]
         rem[k + dd] = 0.0  # eliminated exactly against the monic leading one
     steps = len(quot) * dd
     tally.mults += steps

@@ -2,8 +2,8 @@
 
 Each function here is the plain loop the corresponding engine code is
 checked against: one ``counted_*`` call per scalar operation, in the order
-the engine performs them.  The engines run the same arithmetic as C-level
-loops over slices and charge their tallies once per loop; the
+the engine performs them.  The engines run the same arithmetic with inline
+operators over slices and charge their tallies once per loop; the
 reference-equality tests require bit-identical outputs and identical tallies.
 """
 

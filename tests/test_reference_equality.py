@@ -1,4 +1,4 @@
-"""The engines' C-level loops against the per-operation reference loops.
+"""The engines' tally-once loops against the per-operation reference loops.
 
 Outputs must be bit-identical (compared by float.hex, so the sign of zero
 counts) and tallies identical; plain mode (no tally) must give the same
