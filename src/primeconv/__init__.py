@@ -10,7 +10,6 @@ multiplication and addition performed on runtime data is counted exactly.
 
 from .counting import OpTally, Scalar, counted_add, counted_mul, counted_sub
 from .core import (
-    Length,
     Signal,
     as_signal,
     direct_cyclic_convolution,
@@ -20,7 +19,6 @@ from .core import (
     next_prime,
     prime_factors,
     reverse_permute,
-    rotate,
 )
 from .fast import (
     CompositeLengthWarning,
@@ -33,16 +31,7 @@ from .fast import (
     trace_convolution,
 )
 from .polycrt import (
-    Polynomial,
-    ResidueSystem,
-    build_residue_system,
-    crt_reconstruct,
-    extended_euclid_inverse,
-    poly_divmod,
-    poly_gcd,
-    poly_mod,
     poly_mul,
-    poly_mul_mod,
     two_factor_predicted_counts,
     two_factor_system,
     winograd_two_factor_convolution,
@@ -68,24 +57,18 @@ __all__ = [
     "ConvolutionTrace",
     "DftPlan",
     "FastPlan",
-    "Length",
     "OpTally",
-    "Polynomial",
-    "ResidueSystem",
     "Scalar",
     "Signal",
     "__version__",
     "as_signal",
-    "build_residue_system",
     "counted_add",
     "counted_mul",
     "counted_sub",
-    "crt_reconstruct",
     "cyclic_convolution",
     "dft_plan",
     "direct_cyclic_convolution",
     "direct_predicted_counts",
-    "extended_euclid_inverse",
     "fast_cyclic_convolution",
     "find_primitive_root",
     "is_prime",
@@ -96,16 +79,11 @@ __all__ = [
     "next_prime",
     "padded_length",
     "plan_create",
-    "poly_divmod",
-    "poly_gcd",
-    "poly_mod",
     "poly_mul",
-    "poly_mul_mod",
     "predicted_counts",
     "prime_factors",
     "rader_dft",
     "reverse_permute",
-    "rotate",
     "schoolbook_linear_convolution",
     "trace_convolution",
     "two_factor_predicted_counts",

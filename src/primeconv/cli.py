@@ -32,7 +32,7 @@ from .core import (
 )
 from .counting import OpTally
 from .fast import fast_cyclic_convolution, multiplication_lower_bound, plan_create, predicted_counts
-from .polycrt import two_factor_predicted_counts, two_factor_system, winograd_two_factor_convolution
+from .polycrt import two_factor_predicted_counts, winograd_two_factor_convolution
 from .transforms import (
     ConvolutionEngine,
     cyclic_convolution,
@@ -166,7 +166,6 @@ def _prepared_runner(engine: ConvolutionEngine, kernel):
         plan = plan_create(kernel)
         return lambda data: fast_cyclic_convolution(plan, data)
     if engine is ConvolutionEngine.WINOGRAD_TWO_FACTOR:
-        two_factor_system(len(kernel))  # warm the cached residue system
         return lambda data: winograd_two_factor_convolution(kernel, data, require_prime=False)
     return lambda data: direct_cyclic_convolution(kernel, data)
 

@@ -12,7 +12,6 @@ engine is checked against, so it stays deliberately plain.
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .counting import OpTally, Scalar
 
@@ -117,20 +116,6 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class Length:
-    """A validated signal length together with its primality flag."""
-
-    n: int
-    is_prime: bool
-
-    @classmethod
-    def of(cls, n: int) -> "Length":
-        if n < 1:
-            raise ValueError(f"length must be positive, got {n}")
-        return cls(n, is_prime(n))
-
-
 def reverse_permute(signal) -> Signal:
     """Reversal alignment: out[0] = in[0], out[k] = in[n - k].
 
@@ -139,20 +124,6 @@ def reverse_permute(signal) -> Signal:
     """
     z = as_signal(signal).samples
     return Signal(z[:1] + z[:0:-1])
-
-
-def rotate(signal, steps: int) -> Signal:
-    """Cyclic shift: out[k] = in[(k - steps) mod n].
-
-    rotate(x, 1) moves the last sample to the front; n applications are the
-    identity.
-    """
-    x = as_signal(signal).samples
-    n = len(x)
-    s = steps % n
-    if s == 0:
-        return Signal(x)
-    return Signal(x[-s:] + x[:-s])
 
 
 def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Signal:

@@ -9,7 +9,6 @@ reference-equality tests require bit-identical outputs and identical tallies.
 
 from primeconv.core import as_signal, reverse_permute
 from primeconv.counting import OpTally, counted_add, counted_mul, counted_sub
-from primeconv.polycrt import Polynomial, two_factor_system
 
 
 def direct(kernel, data, tally: OpTally):
@@ -64,40 +63,15 @@ def fast_execute(plan, data, tally: OpTally):
     return y, base, upper, sums, out
 
 
-def poly_mul(a: Polynomial, b: Polynomial, tally: OpTally) -> Polynomial:
+def poly_mul(a, b, tally: OpTally) -> list:
     """polycrt.poly_mul: schoolbook product seeded by each slot's first term."""
-    out = [None] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, av in enumerate(a.coeffs):
-        for j, bv in enumerate(b.coeffs):
+    out = [None] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        for j, bv in enumerate(b):
             term = counted_mul(av, bv, tally)
             k = i + j
             out[k] = term if out[k] is None else counted_add(out[k], term, tally)
-    return Polynomial(out)
-
-
-def poly_divmod(num: Polynomial, den: Polynomial, tally: OpTally):
-    """polycrt.poly_divmod: long division against the monic divisor."""
-    dd = den.degree()
-    if dd < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = den.coeffs[dd]
-    inv_lead = 1.0 / lead
-    monic = [c * inv_lead for c in den.coeffs[:dd]]
-
-    rem = list(num.coeffs)
-    top = len(rem) - 1
-    if top < dd:
-        return Polynomial((0.0,)), Polynomial(rem)
-    quot = [0.0] * (top - dd + 1)
-    for k in range(top - dd, -1, -1):
-        q = rem[k + dd]
-        quot[k] = q
-        for j in range(dd):
-            rem[k + j] = counted_sub(rem[k + j], counted_mul(q, monic[j], tally), tally)
-        rem[k + dd] = 0.0
-    quotient = Polynomial(c * inv_lead for c in quot)
-    remainder = Polynomial(rem[:dd] if dd > 0 else (0.0,))
-    return quotient, remainder
+    return out
 
 
 def reduce_mod_all_ones(coeffs, n: int, tally: OpTally) -> list:
@@ -115,18 +89,12 @@ def reduce_mod_all_ones(coeffs, n: int, tally: OpTally) -> list:
     return work
 
 
-def polynomial_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Polynomial.__add__: coefficient-wise sum, the shorter side zero padded."""
-    size = max(len(a.coeffs), len(b.coeffs))
-    return Polynomial(x + y for x, y in zip(a._padded(size), b._padded(size)))
-
-
 def two_factor(kernel, data, tally: OpTally):
-    """polycrt.winograd_two_factor_convolution built from the loops above."""
+    """polycrt.winograd_two_factor_convolution built from the loops above,
+    ending in the closed-form recombination f = r + ((v - r(1)) / n) * Phi."""
     bs = as_signal(kernel).samples
     zs = as_signal(data).samples
     n = len(bs)
-    system = two_factor_system(n)
 
     kernel_total = sum(bs)
     data_total = zs[0]
@@ -134,15 +102,13 @@ def two_factor(kernel, data, tally: OpTally):
         data_total = counted_add(data_total, value, tally)
     point_product = counted_mul(kernel_total, data_total, tally)
 
-    kernel_residue = Polynomial(reduce_mod_all_ones(bs, n, OpTally()))
-    data_residue = Polynomial(reduce_mod_all_ones(zs, n, tally))
+    kernel_residue = reduce_mod_all_ones(bs, n, OpTally())
+    data_residue = reduce_mod_all_ones(zs, n, tally)
     product = poly_mul(kernel_residue, data_residue, tally)
-    ones_residue = Polynomial(reduce_mod_all_ones(product.coeffs, n, tally))
+    residue = reduce_mod_all_ones(product, n, tally)
 
-    acc = Polynomial((0.0,))
-    for r, weight in zip((Polynomial((point_product,)), ones_residue), system.recombiners):
-        acc = polynomial_add(acc, r * weight)
-    _, result = poly_divmod(acc, system.product, OpTally())
-    coeffs = list(result.coeffs[:n])
-    coeffs += [0.0] * (n - len(coeffs))
-    return coeffs
+    residue_at_one = residue[0]
+    for value in residue[1:]:
+        residue_at_one = counted_add(residue_at_one, value, tally)
+    c = counted_mul(counted_sub(point_product, residue_at_one, tally), 1.0 / n, tally)
+    return [counted_add(r, c, tally) for r in residue] + [c]

@@ -129,13 +129,13 @@ def test_3_two_factor_residue_path():
             worst = max(worst, max_relative_error(got, want))
         tally = OpTally()
         winograd_two_factor_convolution(kernel, real_samples(rng, p), tally)
-        if tally.mults != 1 + (p - 1) ** 2:
+        if tally.mults != (p - 1) ** 2 + 2:
             counts_ok = False
     ok = worst <= 1e-8 and counts_ok
     assert _report(
         3, "two-factor residue path", ok,
         f"primes 2..31, 25 vectors/p: max err {worst:.2e} (tol 1e-8); "
-        f"multiplication tally equals 1+(p-1)^2 exactly: {counts_ok}",
+        f"multiplication tally equals (p-1)^2+2 exactly: {counts_ok}",
     )
 
 

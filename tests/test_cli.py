@@ -50,7 +50,8 @@ def test_table_csv_counts(capsys):
     assert by_key[("5", "fast-prime")]["adds_measured"] == "31"
     assert by_key[("3", "direct")]["mults_measured"] == "9"
     assert by_key[("3", "direct")]["adds_measured"] == "6"
-    assert by_key[("3", "winograd-two-factor")]["mults_measured"] == "5"
+    assert by_key[("3", "winograd-two-factor")]["mults_measured"] == "6"
+    assert by_key[("3", "winograd-two-factor")]["adds_measured"] == "11"
     # measured always equals predicted, by construction
     for row in rows:
         assert row["mults_measured"] == row["mults_predicted"]

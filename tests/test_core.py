@@ -4,7 +4,6 @@ import pytest
 
 from helpers import complex_samples, real_samples, rng_for
 from primeconv.core import (
-    Length,
     Signal,
     as_signal,
     direct_cyclic_convolution,
@@ -14,7 +13,6 @@ from primeconv.core import (
     next_prime,
     prime_factors,
     reverse_permute,
-    rotate,
 )
 from primeconv.counting import OpTally
 from primeconv.verification import cyclic_matrix, mat_vec
@@ -95,13 +93,6 @@ def test_prime_factors():
         prime_factors(1)
 
 
-def test_length_of():
-    assert Length.of(7) == Length(7, True)
-    assert Length.of(9) == Length(9, False)
-    with pytest.raises(ValueError):
-        Length.of(0)
-
-
 # --- index maps -------------------------------------------------------------
 
 def test_reverse_permute_fixed_example():
@@ -115,24 +106,6 @@ def test_reverse_permute_is_involutive():
         z = Signal(real_samples(rng, n))
         assert reverse_permute(reverse_permute(z)) == z
         assert reverse_permute(z)[0] == z[0]
-
-
-def test_rotate_moves_last_sample_to_front():
-    assert rotate([1.0, 2.0, 3.0], 1) == (3.0, 1.0, 2.0)
-    assert rotate([1.0, 2.0, 3.0], -1) == (2.0, 3.0, 1.0)
-    assert rotate([1.0, 2.0, 3.0], 3) == (1.0, 2.0, 3.0)
-
-
-def test_rotate_composes_mod_n():
-    rng = rng_for(2)
-    for n in range(1, 12):
-        z = Signal(real_samples(rng, n))
-        for steps in range(-2 * n, 2 * n + 1):
-            assert rotate(z, steps) == rotate(z, steps % n)
-        acc = z
-        for _ in range(n):
-            acc = rotate(acc, 1)
-        assert acc == z
 
 
 # --- direct convolution -----------------------------------------------------
@@ -185,14 +158,20 @@ def test_direct_convolution_is_linear_in_data():
         assert max_relative_error(combined, parts) < 1e-12
 
 
+def rotated(signal, steps: int) -> tuple:
+    """Cyclic shift: out[k] = in[(k - steps) mod n], for 0 <= steps < n."""
+    x = signal.samples
+    return x[len(x) - steps:] + x[:len(x) - steps]
+
+
 def test_direct_convolution_commutes_with_rotation():
     rng = rng_for(7)
     for n in range(2, 10):
         b = Signal(real_samples(rng, n))
         z = Signal(real_samples(rng, n))
         for steps in range(n):
-            rotated_first = direct_cyclic_convolution(b, rotate(z, steps))
-            rotated_after = rotate(direct_cyclic_convolution(b, z), steps)
+            rotated_first = direct_cyclic_convolution(b, rotated(z, steps))
+            rotated_after = rotated(direct_cyclic_convolution(b, z), steps)
             assert max_relative_error(rotated_first, rotated_after) < 1e-12
 
 

@@ -106,10 +106,10 @@ def run_counted(engine, n, make, index):
         # -sum(sums), does n - 1 untallied adds (n - 2 plus sum()'s 0 start).
         (fast_engine, predicted_counts,
          lambda n: (n * (n - 1) // 2 + 1, 3 * n * (n - 1) // 2 + 1 + (n - 1))),
-        # Two-factor: the CRT recombination (r * weight, then the reduction
-        # mod x^n - 1) runs on data and is untallied.
+        # Two-factor: every operation is tallied, the closed-form
+        # recombination included.
         (two_factor_engine, two_factor_predicted_counts,
-         lambda n: (3 * n * (n - 1), 3 * n * n + n - 4)),
+         lambda n: ((n - 1) ** 2 + 2, n * n + 2 * n - 4)),
     ],
     ids=["direct", "fast-prime", "two-factor"],
 )
