@@ -8,7 +8,7 @@ DFT that rides on top of them.  Every engine can run with an
 multiplication and addition performed on runtime data is counted exactly.
 """
 
-from .counting import OpTally, Scalar, counted_add, counted_mul, counted_sub
+from .counting import OpTally, Scalar
 from .core import (
     Signal,
     as_signal,
@@ -62,9 +62,6 @@ __all__ = [
     "Signal",
     "__version__",
     "as_signal",
-    "counted_add",
-    "counted_mul",
-    "counted_sub",
     "cyclic_convolution",
     "dft_plan",
     "direct_cyclic_convolution",

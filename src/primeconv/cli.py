@@ -23,16 +23,9 @@ import sys
 import time
 from pathlib import Path
 
-from .core import (
-    Signal,
-    direct_cyclic_convolution,
-    direct_predicted_counts,
-    is_prime,
-    max_relative_error,
-)
+from .core import Signal, direct_cyclic_convolution, is_prime, max_relative_error
 from .counting import OpTally
-from .fast import fast_cyclic_convolution, multiplication_lower_bound, plan_create, predicted_counts
-from .polycrt import two_factor_predicted_counts, winograd_two_factor_convolution
+from .fast import multiplication_lower_bound
 from .transforms import (
     ConvolutionEngine,
     cyclic_convolution,
@@ -49,7 +42,7 @@ BEST_PUBLISHED_COUNTS = {3: (4, 11), 5: (8, 62), 7: (16, 70)}
 # The same reference table prints these direct-method counts at length 17,
 # which disagree with the n^2 / n(n-1) formulas; the tool reports formula
 # values and annotates the row.
-DIRECT_TABLE_MISPRINT = {17: (189, 172)}
+TABLE_MISPRINTS = {(ConvolutionEngine.DIRECT, 17): (189, 172)}
 
 DEFAULT_SEED = 42
 
@@ -152,24 +145,6 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _predicted(engine: ConvolutionEngine, n: int) -> tuple:
-    if engine is ConvolutionEngine.DIRECT:
-        return direct_predicted_counts(n)
-    if engine is ConvolutionEngine.FAST_PRIME:
-        return predicted_counts(n)
-    return two_factor_predicted_counts(n)
-
-
-def _prepared_runner(engine: ConvolutionEngine, kernel):
-    """Plain-mode callable with kernel precomputation hoisted out."""
-    if engine is ConvolutionEngine.FAST_PRIME:
-        plan = plan_create(kernel)
-        return lambda data: fast_cyclic_convolution(plan, data)
-    if engine is ConvolutionEngine.WINOGRAD_TWO_FACTOR:
-        return lambda data: winograd_two_factor_convolution(kernel, data, require_prime=False)
-    return lambda data: direct_cyclic_convolution(kernel, data)
-
-
 def cmd_table(args) -> int:
     sizes = _parse_sizes(args.sizes)
     engines = _engines(args)
@@ -182,16 +157,16 @@ def cmd_table(args) -> int:
             kernel = real_vector(rng, n)
             datasets = [real_vector(rng, n) for _ in range(args.trials)]
 
+            runner = engine.prepare(kernel)
             tally = OpTally()
-            cyclic_convolution(kernel, datasets[0], engine, tally)
-            predicted = _predicted(engine, n)
+            runner(datasets[0], tally)
+            predicted = engine.predicted_counts(n)
             if tally.counts != predicted:
                 raise RuntimeError(
                     f"count model out of sync for {engine.value} at n={n}: "
                     f"measured {tally.counts}, predicted {predicted}"
                 )
 
-            runner = _prepared_runner(engine, kernel)
             worst = 0.0
             total_ns = 0
             for data in datasets:
@@ -217,8 +192,8 @@ def cmd_table(args) -> int:
                 quoted = BEST_PUBLISHED_COUNTS[n]
                 row["best_published_mults"] = quoted[0]
                 row["best_published_adds"] = quoted[1]
-            if engine is ConvolutionEngine.DIRECT and n in DIRECT_TABLE_MISPRINT:
-                misprint = DIRECT_TABLE_MISPRINT[n]
+            misprint = TABLE_MISPRINTS.get((engine, n))
+            if misprint:
                 row["note"] = (
                     f"reference table prints M={misprint[0]} A={misprint[1]} here; "
                     f"formula gives M={predicted[0]} A={predicted[1]}"
@@ -276,14 +251,14 @@ def cmd_bench(args) -> int:
             rng = substream(args.seed, row_index)
             row_index += 1
             kernel = real_vector(rng, n)
-            runner = _prepared_runner(engine, kernel)
+            runner = engine.prepare(kernel)
             timings = []
             for _ in range(args.trials):
                 data = real_vector(rng, n)
                 start = time.perf_counter_ns()
                 runner(data)
                 timings.append(time.perf_counter_ns() - start)
-            predicted = _predicted(engine, n)
+            predicted = engine.predicted_counts(n)
             rows.append({
                 "n": n,
                 "engine": engine.value,

@@ -1,17 +1,16 @@
-"""Scalar arithmetic with explicit operation tallies.
+"""Exact operation tallies for the engines' scalar arithmetic.
 
 Engines in this package run their data paths as loops with inline
 arithmetic, no Python call per scalar operation, and charge an ``OpTally``
 once per loop with the exact number of data-dependent multiplications and
-additions that loop performed.  The helpers below do one operation and
-charge it; the test suite's per-operation reference loops are built on
-them, and the engines must match those loops bit for bit and count for
-count.  The unit of account is one scalar field
-operation: a complex multiply counts as one multiplication, and a
-subtraction counts as one addition.  Work that depends only on the fixed
-convolution kernel (plan construction, recombination constants, twiddle
-tables) is precomputation and is never charged; see docs/counting_model.md
-for the exact boundary and for the audit that checks the charges.
+additions that loop performed.  The test suite checks those charges
+against per-operation reference loops, bit for bit and count for count.
+The unit of account is one scalar field operation: a complex multiply
+counts as one multiplication, and a subtraction counts as one addition.
+Work that depends only on the fixed convolution kernel (plan construction,
+recombination constants, twiddle tables) is precomputation and is never
+charged; see docs/counting_model.md for the exact boundary and for the
+audit that checks the charges.
 """
 
 from dataclasses import dataclass
@@ -37,21 +36,3 @@ class OpTally:
     @property
     def counts(self) -> tuple[int, int]:
         return (self.mults, self.adds)
-
-
-def counted_mul(a: Scalar, b: Scalar, tally: OpTally) -> Scalar:
-    """Return a * b and charge one multiplication (no zero/one shortcuts)."""
-    tally.mults += 1
-    return a * b
-
-
-def counted_add(a: Scalar, b: Scalar, tally: OpTally) -> Scalar:
-    """Return a + b and charge one addition."""
-    tally.adds += 1
-    return a + b
-
-
-def counted_sub(a: Scalar, b: Scalar, tally: OpTally) -> Scalar:
-    """Return a - b and charge one addition; subtractions count as adds."""
-    tally.adds += 1
-    return a - b

@@ -147,8 +147,10 @@ def _execute(plan: FastPlan, z: Signal, tally: OpTally):
     tally.mults += pairs
     # The corrections are constrained to sum to zero; reconstructing the
     # last one resolves a linear dependency rather than computing anything
-    # new, so it stays off the tally (see docs/counting_model.md).
-    sums.append(-sum(sums))
+    # new, so it stays off the tally (see docs/counting_model.md).  A plain
+    # left fold from 0, not sum(): from Python 3.12 sum() compensates exact
+    # floats, which would change the bits and break the exact cancellation.
+    sums.append(-reduce(add, sums, 0))
 
     out = [base - value for value in sums]
     tally.adds += n

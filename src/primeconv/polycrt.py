@@ -22,7 +22,7 @@ from itertools import repeat
 from operator import add, sub
 
 from .counting import OpTally
-from .core import Signal, as_signal, is_prime
+from .core import Signal, as_signal
 
 
 def poly_mul(a, b, tally: OpTally | None = None) -> list:
@@ -100,8 +100,7 @@ def two_factor_recombine(point, residue, tally: OpTally | None = None) -> list:
     return [r + c for r in residue] + [c]
 
 
-def winograd_two_factor_convolution(kernel, data, tally: OpTally | None = None,
-                                    *, require_prime: bool = True) -> Signal:
+def winograd_two_factor_convolution(kernel, data, tally: OpTally | None = None) -> Signal:
     """Cyclic convolution through the two-factor residue split.
 
     Tallies exactly (n-1)^2 + 2 multiplications: the point product at
@@ -110,9 +109,9 @@ def winograd_two_factor_convolution(kernel, data, tally: OpTally | None = None,
     reductions, the data sum and the rest of the recombination are
     additions.
 
-    The split is valid for every n >= 2, but the operation is published for
-    prime lengths; pass require_prime=False to run it elsewhere (the engine
-    dispatcher does this when a caller explicitly picks this path).
+    The split is valid for every n >= 2, prime or composite.  Prime n is
+    the case the method is published for: there x^{n-1} + ... + 1 is
+    irreducible over the rationals, so no finer split exists.
     """
     b = as_signal(kernel)
     z = as_signal(data)
@@ -121,11 +120,6 @@ def winograd_two_factor_convolution(kernel, data, tally: OpTally | None = None,
         raise ValueError(f"kernel length {n} does not match data length {len(z)}")
     if n < 2:
         raise ValueError(f"need length >= 2, got {n}")
-    if require_prime and not is_prime(n):
-        raise ValueError(
-            f"length {n} is composite; pass require_prime=False to run the "
-            "two-factor split anyway"
-        )
     if tally is None:
         tally = OpTally()
 

@@ -1,8 +1,9 @@
 """Applications built on the convolution engines.
 
-Provides the engine dispatcher, a naive DFT oracle, prime-length DFT via
-the Rader reindexing (one length p-1 cyclic convolution against a fixed
-twiddle kernel), and linear convolution by cyclic zero padding.
+Provides the engine protocol (``ConvolutionEngine``: kernel preparation and
+closed-form budgets), a naive DFT oracle, prime-length DFT via the Rader
+reindexing (one length p-1 cyclic convolution against a fixed twiddle
+kernel), and linear convolution by cyclic zero padding.
 """
 
 import cmath
@@ -17,15 +18,25 @@ from .core import (
     Signal,
     as_signal,
     direct_cyclic_convolution,
+    direct_predicted_counts,
     is_prime,
     next_prime,
     prime_factors,
 )
-from .fast import CompositeLengthWarning, FastPlan, fast_cyclic_convolution, plan_create
-from .polycrt import winograd_two_factor_convolution
+from .fast import CompositeLengthWarning, fast_cyclic_convolution, plan_create
+from .fast import predicted_counts as fast_predicted_counts
+from .polycrt import two_factor_predicted_counts, winograd_two_factor_convolution
 
 
 class ConvolutionEngine(Enum):
+    """The three cyclic-convolution engines behind one protocol.
+
+    ``prepare(kernel)`` returns a runner for that kernel and
+    ``predicted_counts(n)`` the closed-form budget its runs tally.  The
+    engine functions are looked up as this module's globals when called, so
+    wrapping or replacing ``transforms.<name>`` reaches every engine call.
+    """
+
     DIRECT = "direct"
     FAST_PRIME = "fast-prime"
     WINOGRAD_TWO_FACTOR = "winograd-two-factor"
@@ -38,22 +49,35 @@ class ConvolutionEngine(Enum):
         names = ", ".join(engine.value for engine in cls)
         raise ValueError(f"unknown engine {name!r}; expected one of: {names}")
 
+    def prepare(self, kernel):
+        """Do this engine's kernel-only work once (the fast plan for
+        fast-prime) and return ``run(data, tally=None) -> Signal``."""
+        if self is ConvolutionEngine.FAST_PRIME:
+            plan = plan_create(kernel)
+            return lambda data, tally=None: fast_cyclic_convolution(plan, data, tally)
+        kernel = as_signal(kernel)
+        if self is ConvolutionEngine.WINOGRAD_TWO_FACTOR:
+            return lambda data, tally=None: winograd_two_factor_convolution(kernel, data, tally)
+        return lambda data, tally=None: direct_cyclic_convolution(kernel, data, tally)
+
+    def predicted_counts(self, n: int) -> tuple[int, int]:
+        """Closed-form (multiplications, additions) one length-n run tallies."""
+        if self is ConvolutionEngine.FAST_PRIME:
+            return fast_predicted_counts(n)
+        if self is ConvolutionEngine.WINOGRAD_TWO_FACTOR:
+            return two_factor_predicted_counts(n)
+        return direct_predicted_counts(n)
+
 
 def cyclic_convolution(kernel, data, engine: ConvolutionEngine = ConvolutionEngine.DIRECT,
                        tally: OpTally | None = None) -> Signal:
     """Cyclic convolution through the selected engine.
 
-    The dispatcher accepts any length the underlying engine can process;
-    for the two-factor path that includes composite lengths, since the
-    split x^n - 1 = (x - 1)(x^{n-1} + ... + 1) is valid for every n >= 2.
+    Every engine accepts every length n >= 2, prime or composite; direct
+    also accepts n = 1.  Callers that reuse one kernel should hold on to
+    ``engine.prepare(kernel)`` instead.
     """
-    if engine is ConvolutionEngine.DIRECT:
-        return direct_cyclic_convolution(kernel, data, tally)
-    if engine is ConvolutionEngine.FAST_PRIME:
-        return fast_cyclic_convolution(plan_create(kernel), data, tally)
-    if engine is ConvolutionEngine.WINOGRAD_TWO_FACTOR:
-        return winograd_two_factor_convolution(kernel, data, tally, require_prime=False)
-    raise ValueError(f"unknown engine {engine!r}")
+    return engine.prepare(kernel)(data, tally)
 
 
 @lru_cache(maxsize=None)
@@ -101,8 +125,7 @@ class DftPlan:
     input_order[m] = g^{-m} mod p selects the permuted samples that feed
     the convolution; output_order[l] = g^l mod p scatters convolution
     results onto DFT bins 1 .. p-1.  ``kernel`` holds twiddles
-    exp(-2*pi*i*g^t/p); ``conv_plan`` is the prebuilt reduced-multiplication
-    plan for it.  Construction is precomputation.
+    exp(-2*pi*i*g^t/p).  Construction is precomputation.
     """
 
     length: int
@@ -110,7 +133,6 @@ class DftPlan:
     input_order: tuple
     output_order: tuple
     kernel: Signal
-    conv_plan: FastPlan
 
 
 def dft_plan(p: int) -> DftPlan:
@@ -122,11 +144,7 @@ def dft_plan(p: int) -> DftPlan:
     output_order = tuple(pow(g, i, p) for i in range(m))
     roots = _unit_roots(p)
     kernel = Signal(roots[pow(g, t, p)] for t in range(m))
-    with warnings.catch_warnings():
-        # p - 1 is composite for every p >= 5; expected here, not advisory-worthy.
-        warnings.simplefilter("ignore", CompositeLengthWarning)
-        conv_plan = plan_create(kernel)
-    return DftPlan(p, g, input_order, output_order, kernel, conv_plan)
+    return DftPlan(p, g, input_order, output_order, kernel)
 
 
 def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine.DIRECT) -> Signal:
@@ -134,8 +152,8 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
 
     X[0] is the plain sample sum; for k >= 1 the bins are x[0] plus the
     cyclic convolution of the permuted input with the twiddle kernel.
-    Any engine works: p - 1 is composite for p >= 5, which the fast and
-    two-factor engines both accept.
+    Any engine works: p - 1 is composite for p >= 5, which every engine
+    accepts; the fast engine's composite-length advisory is silenced here.
     """
     x = as_signal(data)
     p = plan.length
@@ -144,9 +162,9 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     xs = x.samples
     zero_bin = complex(sum(xs))
     permuted = Signal(xs[idx] for idx in plan.input_order)
-    if engine is ConvolutionEngine.FAST_PRIME:
-        conv = fast_cyclic_convolution(plan.conv_plan, permuted)
-    else:
+    with warnings.catch_warnings():
+        # p - 1 is composite for every p >= 5; expected here, not advisory-worthy.
+        warnings.simplefilter("ignore", CompositeLengthWarning)
         conv = cyclic_convolution(plan.kernel, permuted, engine)
     out = [complex(0.0, 0.0)] * p
     out[0] = zero_bin

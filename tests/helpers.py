@@ -1,11 +1,7 @@
-"""Shared helpers for the test suite: seeded substreams, sample makers,
-bit-exact comparison and the three engines behind one call shape."""
+"""Shared helpers for the test suite: seeded substreams, sample makers and
+bit-exact comparison."""
 
 from random import Random
-
-from primeconv.core import direct_cyclic_convolution
-from primeconv.fast import fast_cyclic_convolution, plan_create
-from primeconv.polycrt import winograd_two_factor_convolution
 
 BASE_SEED = 42
 
@@ -31,15 +27,3 @@ def bits(values) -> list:
     """
     return [(complex(v).real.hex(), complex(v).imag.hex()) if isinstance(v, complex)
             else float(v).hex() for v in values]
-
-
-def direct_engine(kernel, data, tally):
-    return direct_cyclic_convolution(kernel, data, tally)
-
-
-def fast_engine(kernel, data, tally):
-    return fast_cyclic_convolution(plan_create(kernel), data, tally)
-
-
-def two_factor_engine(kernel, data, tally):
-    return winograd_two_factor_convolution(kernel, data, tally, require_prime=False)

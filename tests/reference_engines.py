@@ -7,8 +7,29 @@ operators over slices and charge their tallies once per loop; the
 reference-equality tests require bit-identical outputs and identical tallies.
 """
 
+from functools import reduce
+from operator import add
+
 from primeconv.core import as_signal, reverse_permute
-from primeconv.counting import OpTally, counted_add, counted_mul, counted_sub
+from primeconv.counting import OpTally, Scalar
+
+
+def counted_mul(a: Scalar, b: Scalar, tally: OpTally) -> Scalar:
+    """Return a * b and charge one multiplication (no zero/one shortcuts)."""
+    tally.mults += 1
+    return a * b
+
+
+def counted_add(a: Scalar, b: Scalar, tally: OpTally) -> Scalar:
+    """Return a + b and charge one addition."""
+    tally.adds += 1
+    return a + b
+
+
+def counted_sub(a: Scalar, b: Scalar, tally: OpTally) -> Scalar:
+    """Return a - b and charge one addition; subtractions count as adds."""
+    tally.adds += 1
+    return a - b
 
 
 def direct(kernel, data, tally: OpTally):
@@ -57,7 +78,7 @@ def fast_execute(plan, data, tally: OpTally):
                 term = upper[j][i - j - 1]
                 acc = -term if acc is None else counted_sub(acc, term, tally)
         sums.append(acc)
-    sums.append(-sum(sums))
+    sums.append(-reduce(add, sums, 0))  # untallied, as in the engine
 
     out = [counted_sub(base, value, tally) for value in sums]
     return y, base, upper, sums, out

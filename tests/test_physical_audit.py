@@ -9,19 +9,9 @@ operation; this audit is what checks those loop-level increments.
 
 import pytest
 
-from helpers import (
-    bits,
-    complex_samples,
-    direct_engine,
-    fast_engine,
-    real_samples,
-    rng_for,
-    two_factor_engine,
-)
-from primeconv.core import direct_predicted_counts
+from helpers import bits, complex_samples, real_samples, rng_for
 from primeconv.counting import OpTally
-from primeconv.fast import predicted_counts
-from primeconv.polycrt import two_factor_predicted_counts
+from primeconv.transforms import ConvolutionEngine
 
 SIZES = tuple(range(2, 40)) + (97, 101, 498, 499)
 
@@ -91,31 +81,31 @@ def run_counted(engine, n, make, index):
     kernel, data = make(rng, n), make(rng, n)
     counter = OpCounter()
     lift = counting_types(counter)[isinstance(data[0], complex)]
+    run = engine.prepare(kernel)
     tally = OpTally()
-    out = engine(kernel, [lift(v) for v in data], tally)
-    return (counter.mults, counter.adds), tally.counts, out, engine(kernel, data, None)
+    out = run([lift(v) for v in data], tally)
+    return (counter.mults, counter.adds), tally.counts, out, run(data)
 
 
 @pytest.mark.parametrize("make", [real_samples, complex_samples], ids=["real", "complex"])
 @pytest.mark.parametrize(
-    "engine, predicted, physical",
+    "engine, physical",
     [
         # Direct: every operation is tallied.
-        (direct_engine, direct_predicted_counts, lambda n: (n * n, n * (n - 1))),
+        (ConvolutionEngine.DIRECT, lambda n: (n * n, n * (n - 1))),
         # Fast-prime: the zero-sum reconstruction of the last correction,
-        # -sum(sums), does n - 1 untallied adds (n - 2 plus sum()'s 0 start).
-        (fast_engine, predicted_counts,
+        # a left fold from 0 over the other n - 1, does n - 1 untallied adds.
+        (ConvolutionEngine.FAST_PRIME,
          lambda n: (n * (n - 1) // 2 + 1, 3 * n * (n - 1) // 2 + 1 + (n - 1))),
         # Two-factor: every operation is tallied, the closed-form
         # recombination included.
-        (two_factor_engine, two_factor_predicted_counts,
-         lambda n: ((n - 1) ** 2 + 2, n * n + 2 * n - 4)),
+        (ConvolutionEngine.WINOGRAD_TWO_FACTOR, lambda n: ((n - 1) ** 2 + 2, n * n + 2 * n - 4)),
     ],
     ids=["direct", "fast-prime", "two-factor"],
 )
-def test_physical_counts_match_closed_forms(engine, predicted, physical, make):
+def test_physical_counts_match_closed_forms(engine, physical, make):
     for index, n in enumerate(SIZES):
         counted, tallied, out, plain_out = run_counted(engine, n, make, 700 + index)
-        assert tallied == predicted(n), n
+        assert tallied == engine.predicted_counts(n), n
         assert counted == physical(n), n
         assert bits(out) == bits(plain_out), n

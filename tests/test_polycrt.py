@@ -101,21 +101,16 @@ def test_two_factor_predicted_count_values():
         two_factor_predicted_counts(1)
 
 
-def test_two_factor_rejects_composite_by_default():
-    with pytest.raises(ValueError, match="composite"):
-        winograd_two_factor_convolution([1.0] * 4, [1.0] * 4)
-
-
 def test_two_factor_opt_in_composite_lengths():
     rng = rng_for(36)
     for n in (4, 6, 9, 10, 12):
         kernel = real_samples(rng, n)
         data = real_samples(rng, n)
-        got = winograd_two_factor_convolution(kernel, data, require_prime=False)
+        got = winograd_two_factor_convolution(kernel, data)
         want = direct_cyclic_convolution(kernel, data)
         assert max_relative_error(got, want) < 1e-8
         tally = OpTally()
-        winograd_two_factor_convolution(kernel, data, tally, require_prime=False)
+        winograd_two_factor_convolution(kernel, data, tally)
         assert tally.counts == two_factor_predicted_counts(n)
 
 

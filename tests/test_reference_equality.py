@@ -8,18 +8,11 @@ bits as counted mode.
 import pytest
 
 import reference_engines as ref
-from helpers import (
-    bits,
-    complex_samples,
-    direct_engine,
-    fast_engine,
-    real_samples,
-    rng_for,
-    two_factor_engine,
-)
+from helpers import bits, complex_samples, real_samples, rng_for
 from primeconv.counting import OpTally
 from primeconv.fast import plan_create, trace_convolution
 from primeconv.polycrt import _reduce_mod_all_ones, poly_mul
+from primeconv.transforms import ConvolutionEngine
 
 SIZES = tuple(range(1, 41)) + (97, 498, 499)
 ZERO_SIZES = tuple(range(1, 41)) + (97,)
@@ -57,20 +50,21 @@ MAKERS = pytest.mark.parametrize("make", [real_samples, complex_samples], ids=["
 @MAKERS
 @pytest.mark.parametrize(
     "engine, reference, min_n",
-    [(direct_engine, ref.direct, 1), (fast_engine, reference_fast, 2),
-     (two_factor_engine, ref.two_factor, 2)],
+    [(ConvolutionEngine.DIRECT, ref.direct, 1), (ConvolutionEngine.FAST_PRIME, reference_fast, 2),
+     (ConvolutionEngine.WINOGRAD_TWO_FACTOR, ref.two_factor, 2)],
     ids=["direct", "fast-prime", "two-factor"],
 )
 def test_engine_matches_reference_loops_bit_for_bit(engine, reference, min_n, make):
     for n, kernel, data in inputs(make, 800):
         if n < min_n:
             continue
+        run = engine.prepare(kernel)
         tally, want_tally = OpTally(), OpTally()
-        got = engine(kernel, data, tally)
+        got = run(data, tally)
         want = reference(kernel, data, want_tally)
         assert bits(got) == bits(want), n
         assert tally == want_tally, n
-        assert bits(engine(kernel, data, None)) == bits(got), n
+        assert bits(run(data)) == bits(got), n
 
 
 @MAKERS

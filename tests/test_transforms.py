@@ -1,11 +1,14 @@
 import cmath
 import math
+import warnings
 
 import pytest
 
-from helpers import complex_samples, real_samples, rng_for
+from helpers import bits, complex_samples, real_samples, rng_for
+from primeconv.cli import main as cli_main
 from primeconv.core import Signal, direct_cyclic_convolution, max_relative_error
 from primeconv.counting import OpTally
+from primeconv.fast import CompositeLengthWarning, plan_create
 from primeconv.transforms import (
     ConvolutionEngine,
     cyclic_convolution,
@@ -31,20 +34,39 @@ def test_engine_from_name_round_trip():
 
 
 def test_dispatch_matches_direct_everywhere():
+    # A prepared runner gives the dispatcher's bits and tallies its engine's budget.
     rng = rng_for(40)
-    for n in (2, 3, 4, 5, 6, 9, 11, 16):
-        kernel = real_samples(rng, n)
-        data = real_samples(rng, n)
-        want = direct_cyclic_convolution(kernel, data)
-        for engine in ALL_ENGINES:
-            got = cyclic_convolution(kernel, data, engine)
-            assert max_relative_error(got, want) < 1e-9, (n, engine)
+    for make in (real_samples, complex_samples):
+        for n in (2, 3, 4, 5, 6, 9, 11, 16):
+            kernel = make(rng, n)
+            data = make(rng, n)
+            want = direct_cyclic_convolution(kernel, data)
+            for engine in ALL_ENGINES:
+                got = cyclic_convolution(kernel, data, engine)
+                assert max_relative_error(got, want) < 1e-9, (n, engine)
+                tally = OpTally()
+                assert bits(engine.prepare(kernel)(data, tally)) == bits(got), (n, engine)
+                assert tally.counts == engine.predicted_counts(n), (n, engine)
 
 
 def test_dispatch_threads_the_tally():
     tally = OpTally()
     cyclic_convolution([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], ConvolutionEngine.FAST_PRIME, tally)
     assert tally.counts == (4, 10)
+    # One prepared runner serves many inputs, each charged to its own tally.
+    rng = rng_for(45)
+    for make in (real_samples, complex_samples):
+        for n in (4, 7, 9, 13):
+            kernel = make(rng, n)
+            for engine in ALL_ENGINES:
+                run = engine.prepare(kernel)
+                for _ in range(2):
+                    data = make(rng, n)
+                    tally, run_tally = OpTally(), OpTally()
+                    got = cyclic_convolution(kernel, data, engine, tally)
+                    assert tally.counts == engine.predicted_counts(n), (n, engine)
+                    assert bits(run(data, run_tally)) == bits(got), (n, engine)
+                    assert run_tally == tally, (n, engine)
 
 
 def test_default_engine_is_direct():
@@ -123,7 +145,6 @@ def test_dft_plan_structure():
         assert plan.input_order[0] == 1 and plan.output_order[0] == 1
         assert len(plan.kernel) == p - 1
         assert all(abs(abs(v) - 1.0) < 1e-12 for v in plan.kernel)
-        assert plan.conv_plan.length == p - 1
 
 
 def test_rader_matches_naive_all_engines():
@@ -143,6 +164,23 @@ def test_rader_accepts_real_input():
     plan = dft_plan(7)
     data = real_samples(rng, 7)
     assert max_relative_error(rader_dft(plan, data), naive_dft(data)) < 1e-9
+
+
+def test_rader_and_dft_cli_emit_no_composite_length_warning(tmp_path):
+    # pyproject.toml ignores this warning suite-wide, so record every warning.
+    data = complex_samples(rng_for(46), 7)
+    path = tmp_path / "data.txt"
+    path.write_text("".join(f"{v.real!r} {v.imag!r}\n" for v in data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        plan = dft_plan(7)
+        for engine in ALL_ENGINES:
+            rader_dft(plan, data, engine)
+        argv = ["dft", str(path), "--engine", "fast-prime", "--out", str(tmp_path / "out.txt")]
+        assert cli_main(argv) == 0
+        assert not [w for w in caught if issubclass(w.category, CompositeLengthWarning)]
+        plan_create(plan.kernel)  # the length-6 kernel alone does warn
+    assert [w for w in caught if issubclass(w.category, CompositeLengthWarning)]
 
 
 def test_rader_length_mismatch():
