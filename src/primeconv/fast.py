@@ -75,7 +75,7 @@ def plan_create(kernel) -> FastPlan:
             CompositeLengthWarning,
             stacklevel=2,
         )
-    mean = sum(b.samples) / n
+    mean = reduce(add, b.samples, 0) / n
     weights = tuple(mean - value for value in b.samples)
     return FastPlan(n, weights, mean)
 
@@ -101,9 +101,10 @@ class ConvolutionTrace:
 def _pair_rows(plan: FastPlan, y):
     """Rows of the strict upper triangle, built lazily one at a time.
 
-    Row i holds table[i][j] = w[(i + j) mod n] * (y[j] - y[i]) for
-    j = i+1 .. n-1; the doubled weights turn (i + j) mod n into the slice
-    w2[2i + 1 : i + n].
+    Serves ``trace_convolution`` only; the engine computes the same entries
+    inside its single pass over the pairs.  Row i holds
+    table[i][j] = w[(i + j) mod n] * (y[j] - y[i]) for j = i+1 .. n-1; the
+    doubled weights turn (i + j) mod n into the slice w2[2i + 1 : i + n].
     """
     n = plan.length
     w2 = plan.diff_weights * 2
@@ -124,24 +125,31 @@ def _execute(plan: FastPlan, z: Signal, tally: OpTally):
     tally.mults += 1
 
     # Signed fold over row i: -table[j][i] for j < i, then +table[i][j] for
-    # j > i, ascending j.  The leading term seeds the accumulator (a sign
-    # flip is bookkeeping, not arithmetic).  Each row is folded as soon as it
-    # is built, so the table is never held whole: ``columns`` carries the
-    # column parts, columns[k] = -table[0][c] - ... - table[i][c] for column
-    # c = i + 1 + k after row i, up to the last folded column c = n - 2.
-    rows = _pair_rows(plan, y)
-    first = next(rows)
+    # j > i, ascending j.  One pass visits each pair (i, j) once: it computes
+    # table[i][j], adds it to row i's accumulator and subtracts it from
+    # col[j], which holds -table[0][j] - ... - table[i][j] after row i.  So
+    # the table is never held, and row i starts from col[i], its finished
+    # column part.  Row 0 seeds its accumulator with its first entry and
+    # col by a sign flip (bookkeeping, not arithmetic).  Column n - 1 is the
+    # zero-sum correction below, so the j = n - 1 entry of each row has no
+    # column.
+    w2 = plan.diff_weights * 2
+    y0 = y[0]
+    first = [wj * (yj - y0) for wj, yj in zip(w2[1:n], y[1:])]
     acc = first[0]
     for term in first[1:]:
         acc += term
     sums = [acc]
-    columns = [-term for term in first[:-1]]
-    for row in rows:
-        acc = columns[0]
-        for term in row:
+    col = [None, *[-term for term in first[:-1]]]
+    for i in range(1, n - 1):
+        yi = y[i]
+        wi = w2[i:i + n]  # wi[j] = w[(i + j) mod n]
+        acc = col[i]
+        for j in range(i + 1, n - 1):
+            term = wi[j] * (y[j] - yi)
             acc += term
-        sums.append(acc)
-        columns = [c - term for c, term in zip(columns[1:], row)]
+            col[j] -= term
+        sums.append(acc + wi[n - 1] * (y[n - 1] - yi))
     pairs = n * (n - 1) // 2
     tally.adds += pairs + (n - 1) * (n - 2)
     tally.mults += pairs

@@ -123,7 +123,7 @@ def winograd_two_factor_convolution(kernel, data, tally: OpTally | None = None) 
     if tally is None:
         tally = OpTally()
 
-    kernel_total = sum(b.samples)  # kernel side, precomputed
+    kernel_total = reduce(add, b.samples, 0)  # kernel side, precomputed
     point_product = kernel_total * reduce(add, z.samples)
     tally.adds += n - 1
     tally.mults += 1

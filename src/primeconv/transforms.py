@@ -11,7 +11,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 from .counting import OpTally
 from .core import (
@@ -160,7 +161,7 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     if len(x) != p:
         raise ValueError(f"plan length {p} does not match data length {len(x)}")
     xs = x.samples
-    zero_bin = complex(sum(xs))
+    zero_bin = complex(reduce(add, xs, 0))
     permuted = Signal(xs[idx] for idx in plan.input_order)
     with warnings.catch_warnings():
         # p - 1 is composite for every p >= 5; expected here, not advisory-worthy.

@@ -59,7 +59,7 @@ def seed_vector(n: int) -> list:
 
 
 def mat_vec(matrix, vector) -> list:
-    return [sum(row[c] * vector[c] for c in range(len(vector))) for row in matrix]
+    return [reduce(add, (row[c] * vector[c] for c in range(len(vector))), 0) for row in matrix]
 
 
 def seed_column_matrix(n: int) -> list:
@@ -132,7 +132,7 @@ def explicit_plan_weights(kernel) -> tuple:
     for i in range(n):
         if i:
             col = mat_vec(shift, col)
-        weights.append(sum(bv * cv for bv, cv in zip(b, col)) / n)
+        weights.append(reduce(add, (bv * cv for bv, cv in zip(b, col)), 0) / n)
     return tuple(weights)
 
 
@@ -151,7 +151,7 @@ def correction_oracle(kernel, data) -> tuple:
     for i in range(n):
         if i:
             vec = mat_vec(shift, vec)
-        out.append(sum(bv * vv for bv, vv in zip(b, vec)) / n)
+        out.append(reduce(add, (bv * vv for bv, vv in zip(b, vec)), 0) / n)
     return tuple(out)
 
 
@@ -277,7 +277,7 @@ def _rank_suite(tol):
     for n in range(2, 13):
         f = seed_column_matrix(n)
         for c in range(n):
-            worst_sum = max(worst_sum, abs(sum(f[r][c] for r in range(n))) / n)
+            worst_sum = max(worst_sum, abs(reduce(add, (f[r][c] for r in range(n)), 0)) / n)
         if matrix_rank(f) != n - 1:
             rank_failures += 1
     return SuiteResult(
@@ -295,7 +295,7 @@ def _crt_suite(seed, stream_index, tol):
     for p in primes:
         for _ in range(10):
             target = real_vector(rng, p)
-            rebuilt = two_factor_recombine(sum(target), _reduce_mod_all_ones(target, p))
+            rebuilt = two_factor_recombine(reduce(add, target, 0), _reduce_mod_all_ones(target, p))
             scale = max(1.0, max(abs(c) for c in target))
             worst = max(worst, max(abs(a - b) for a, b in zip(rebuilt, target)) / scale)
     return SuiteResult(

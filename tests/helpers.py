@@ -19,6 +19,12 @@ def complex_samples(rng: Random, n: int) -> list:
     return [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
 
 
+def mixed_samples(rng: Random, n: int) -> list:
+    """Float and complex samples alternating in one list, a float first."""
+    return [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) if k % 2
+            else rng.uniform(-1.0, 1.0) for k in range(n)]
+
+
 def bits(values) -> list:
     """Exact bit patterns of real or complex samples, signs of zero included.
 

@@ -117,7 +117,7 @@ def two_factor(kernel, data, tally: OpTally):
     zs = as_signal(data).samples
     n = len(bs)
 
-    kernel_total = sum(bs)
+    kernel_total = reduce(add, bs, 0)
     data_total = zs[0]
     for value in zs[1:]:
         data_total = counted_add(data_total, value, tally)

@@ -9,7 +9,7 @@ operation; this audit is what checks those loop-level increments.
 
 import pytest
 
-from helpers import bits, complex_samples, real_samples, rng_for
+from helpers import bits, complex_samples, mixed_samples, real_samples, rng_for
 from primeconv.counting import OpTally
 from primeconv.transforms import ConvolutionEngine
 
@@ -23,40 +23,52 @@ class OpCounter:
 
 
 def counting_types(counter: OpCounter):
-    """(float, complex) subclasses whose binary arithmetic charges ``counter``.
+    """Scalar lifts ``(data, kernel)``, each mapping a float or complex
+    sample to a subclass of its own type.
 
-    ``+``/``-`` charge one add and ``*``/``/`` one mult whenever either
-    operand is a counting value; results stay counting values.  Negation is
-    free.  The arithmetic is the plain float/complex operation, so results
-    are bit-identical to an uncounted run.
+    Data values count: ``+``/``-`` charge one add and ``*``/``/`` one mult
+    to ``counter`` whenever either operand is a data value, and the result
+    is a data value.  Kernel values mark what is derived from the kernel
+    alone: their arithmetic with each other or with plain numbers is free
+    and stays kernel-valued.  The mark is needed because a plain complex on
+    the left of a float subclass computes without consulting the subclass,
+    so a complex kernel weight times a real data difference would go
+    uncharged.  Negation is free.  The arithmetic is the plain float/complex
+    operation, so results are bit-identical to an uncounted run.
     """
-
-    def lift(value):
-        if isinstance(value, complex):
-            return CountingComplex(value)
-        return CountingFloat(value) if isinstance(value, float) else value
 
     def plain(value):
         if isinstance(value, complex):
             return complex(value)
         return float(value) if isinstance(value, float) else value
 
+    def lifter(real_type, complex_type):
+        def lift(value):
+            if isinstance(value, complex):
+                return complex_type(value)
+            return real_type(value) if isinstance(value, float) else value
+        return lift
+
     def charged(op, kind):
+        def apply(a, b):
+            if isinstance(a, Counting) or isinstance(b, Counting):
+                setattr(counter, kind, getattr(counter, kind) + 1)
+                return data(op(plain(a), plain(b)))
+            return kernel(op(plain(a), plain(b)))
+
         def forward(self, other):
             if not isinstance(other, (int, float, complex)):
                 return NotImplemented
-            setattr(counter, kind, getattr(counter, kind) + 1)
-            return lift(op(plain(self), plain(other)))
+            return apply(self, other)
 
         def reflected(self, other):
             if not isinstance(other, (int, float, complex)):
                 return NotImplemented
-            setattr(counter, kind, getattr(counter, kind) + 1)
-            return lift(op(plain(other), plain(self)))
+            return apply(other, self)
 
         return forward, reflected
 
-    class Counting:
+    class Lifted:
         __slots__ = ()
         __add__, __radd__ = charged(lambda a, b: a + b, "adds")
         __sub__, __rsub__ = charged(lambda a, b: a - b, "adds")
@@ -64,7 +76,10 @@ def counting_types(counter: OpCounter):
         __truediv__, __rtruediv__ = charged(lambda a, b: a / b, "mults")
 
         def __neg__(self):
-            return lift(-plain(self))
+            return (data if isinstance(self, Counting) else kernel)(-plain(self))
+
+    class Counting(Lifted):
+        __slots__ = ()
 
     class CountingFloat(Counting, float):
         __slots__ = ()
@@ -72,22 +87,32 @@ def counting_types(counter: OpCounter):
     class CountingComplex(Counting, complex):
         __slots__ = ()
 
-    return CountingFloat, CountingComplex
+    class KernelFloat(Lifted, float):
+        __slots__ = ()
+
+    class KernelComplex(Lifted, complex):
+        __slots__ = ()
+
+    data = lifter(CountingFloat, CountingComplex)
+    kernel = lifter(KernelFloat, KernelComplex)
+    return data, kernel
 
 
 def run_counted(engine, n, make, index):
-    """Run one engine on counting data: (physical, tallied, output, plain output)."""
+    """Run one engine on counting data and a marked kernel:
+    (physical, tallied, output, plain output)."""
     rng = rng_for(index)
     kernel, data = make(rng, n), make(rng, n)
     counter = OpCounter()
-    lift = counting_types(counter)[isinstance(data[0], complex)]
-    run = engine.prepare(kernel)
+    lift_data, lift_kernel = counting_types(counter)
+    run = engine.prepare([lift_kernel(v) for v in kernel])
     tally = OpTally()
-    out = run([lift(v) for v in data], tally)
-    return (counter.mults, counter.adds), tally.counts, out, run(data)
+    out = run([lift_data(v) for v in data], tally)
+    return (counter.mults, counter.adds), tally.counts, out, engine.prepare(kernel)(data)
 
 
-@pytest.mark.parametrize("make", [real_samples, complex_samples], ids=["real", "complex"])
+@pytest.mark.parametrize("make", [real_samples, complex_samples, mixed_samples],
+                         ids=["real", "complex", "mixed"])
 @pytest.mark.parametrize(
     "engine, physical",
     [

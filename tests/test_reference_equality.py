@@ -8,7 +8,7 @@ bits as counted mode.
 import pytest
 
 import reference_engines as ref
-from helpers import bits, complex_samples, real_samples, rng_for
+from helpers import bits, complex_samples, mixed_samples, real_samples, rng_for
 from primeconv.counting import OpTally
 from primeconv.fast import plan_create, trace_convolution
 from primeconv.polycrt import _reduce_mod_all_ones, poly_mul
@@ -44,7 +44,8 @@ def reference_fast(kernel, data, tally):
     return ref.fast_execute(plan_create(kernel), data, tally)[4]
 
 
-MAKERS = pytest.mark.parametrize("make", [real_samples, complex_samples], ids=["real", "complex"])
+MAKERS = pytest.mark.parametrize("make", [real_samples, complex_samples, mixed_samples],
+                                 ids=["real", "complex", "mixed"])
 
 
 @MAKERS
