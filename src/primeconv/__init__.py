@@ -2,8 +2,9 @@
 
 The package provides three interchangeable engines for length-n cyclic
 convolution — the schoolbook form, a reduced-multiplication form built for
-prime lengths, and a polynomial residue (CRT) form — plus a prime-length
-DFT that rides on top of them.  Every engine can run with an
+prime lengths and nested over the prime-power parts of composite ones, and
+a polynomial residue (CRT) form — plus a prime-length DFT that rides on
+top of them.  Every engine can run with an
 :class:`~primeconv.counting.OpTally` attached, in which case each scalar
 multiplication and addition performed on runtime data is counted exactly.
 """
@@ -24,6 +25,9 @@ from .fast import (
     CompositeLengthWarning,
     ConvolutionTrace,
     FastPlan,
+    NestedPlan,
+    block_lengths,
+    block_plan,
     fast_cyclic_convolution,
     multiplication_lower_bound,
     plan_create,
@@ -57,11 +61,14 @@ __all__ = [
     "ConvolutionTrace",
     "DftPlan",
     "FastPlan",
+    "NestedPlan",
     "OpTally",
     "Scalar",
     "Signal",
     "__version__",
     "as_signal",
+    "block_lengths",
+    "block_plan",
     "cyclic_convolution",
     "dft_plan",
     "direct_cyclic_convolution",

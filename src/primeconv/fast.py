@@ -1,4 +1,5 @@
-"""Cyclic convolution in n(n-1)/2 + 1 multiplications for any length n >= 2.
+"""Cyclic convolution in n(n-1)/2 + 1 multiplications per block, nested
+over the coprime prime-power parts of composite lengths.
 
 For a fixed kernel ``b`` the cyclic product with data ``z`` splits into a
 rank-one part and an antisymmetric correction:
@@ -16,34 +17,47 @@ precomputed from the kernel alone.  Swapping i and j only flips the sign
 of the difference, so the strict upper triangle carries the whole table;
 that is where the multiplication count n(n-1)/2 comes from.  The
 correction components also sum to zero, which pins the last one without
-any new information.
+any new information.  This is one block; it is exact for every n >= 2 and
+only uses ring operations and a division by n.
 
-The scheme is exact for every n >= 2.  Prime n is simply the regime where
-the length cannot be factored into cheaper short convolutions, so the
-count above is the interesting one; composite lengths work but trigger an
-advisory warning.
+Composite lengths nest (Agarwal and Cooley, "New algorithms for digital
+convolution", IEEE TASSP 1977).  When n has two or more coprime
+prime-power parts, q is the smallest and m = n / q.  The Good-Thomas map
+k -> (k mod q, k mod m) turns the length-n cyclic convolution into a
+q x m two-dimensional one, and the block schedule runs at length q over
+ring elements that are length-m vectors: its additions are vector
+additions and each of its multiplications is a run of an inner plan, built
+the same way from a length-m kernel vector.  Multiplications multiply
+across levels, so 498 = 2 * 3 * 83 costs 2 * 4 * 3404 = 27,232 of them
+against 123,754 for one block of 498.  A prime power is a single block.
+A block that is a composite prime power (4, 8, 9, ...) stays exact but
+draws an advisory warning.
 """
 
 import warnings
-from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from itertools import chain
+from operator import add, neg, sub
+from typing import NamedTuple
 
 from .counting import OpTally, Scalar
-from .core import Signal, as_signal, is_prime, reverse_permute
+from .core import Signal, as_signal, is_prime, prime_factors, reverse_permute
 
 
 class CompositeLengthWarning(UserWarning):
-    """Advisory: the requested length is composite.
+    """Advisory: the length has a block that is a composite prime power.
 
-    The engine stays correct, but composite lengths admit specialized
-    factorizations with fewer multiplications than this scheme.
+    The engine stays correct, but prime powers such as 4, 8 or 9 admit
+    specialized schedules with fewer multiplications than one block.
     """
 
 
-@dataclass(frozen=True)
-class FastPlan:
-    """Precomputed kernel data for the reduced-multiplication engine.
+class FastPlan(NamedTuple):
+    """Precomputed kernel data for one block of the engine.
+
+    The plan and trace records here are NamedTuples, not frozen
+    dataclasses: creating a frozen dataclass costs about 1 ms at import,
+    and every CLI run imports the package afresh.
 
     Attributes:
         length: signal length n (>= 2).
@@ -58,31 +72,98 @@ class FastPlan:
     kernel_mean: Scalar
 
 
-def plan_create(kernel) -> FastPlan:
-    """Build a FastPlan from a kernel of length n >= 2.
+class NestedPlan(NamedTuple):
+    """Precomputed kernel data for a length n = q * m with coprime q and m.
+
+    Attributes:
+        length: signal length n.
+        block: q, the smallest prime-power part of n; the outer block
+            schedule runs at this length.
+        order: order[a * m + c] is the k with k = a (mod q) and k = c
+            (mod m), the Good-Thomas map read row by row.
+        diff_weights: q inner plans of length m, one per kernel vector
+            w[a] = kernel_mean - (row a of the mapped kernel).
+        kernel_mean: the inner plan of the mean of the q kernel rows.
+    """
+
+    length: int
+    block: int
+    order: tuple
+    diff_weights: tuple
+    kernel_mean: "FastPlan | NestedPlan"
+
+
+def block_lengths(n: int) -> tuple[int, ...]:
+    """The coprime prime-power parts of n >= 2, ascending."""
+    parts = []
+    for p in prime_factors(n):
+        part = p
+        while n % (part * p) == 0:
+            part *= p
+        parts.append(part)
+    return tuple(sorted(parts))
+
+
+def _require_length(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"the reduced-multiplication engine needs length >= 2, got {n}")
+
+
+def _build(b: tuple, blocks: tuple) -> "FastPlan | NestedPlan":
+    # Kernel-only arithmetic: precomputation, never tallied.
+    n = len(b)
+    if len(blocks) == 1:
+        mean = reduce(add, b, 0) / n
+        return FastPlan(n, tuple(mean - value for value in b), mean)
+    q, inner = blocks[0], blocks[1:]
+    m = n // q
+    order = [0] * n
+    for k in range(n):
+        order[k % q * m + k % m] = k
+    rows = [[b[k] for k in order[a * m:a * m + m]] for a in range(q)]
+    total = [0] * m  # a left fold from 0 down each column, row by row
+    for row in rows:
+        total = list(map(add, total, row))
+    mean = [t / q for t in total]
+    weights = tuple(_build(tuple(map(sub, mean, row)), inner) for row in rows)
+    return NestedPlan(n, q, tuple(order), weights, _build(tuple(mean), inner))
+
+
+def plan_create(kernel) -> "FastPlan | NestedPlan":
+    """Build the plan for a kernel of length n >= 2: one block when n is a
+    prime power, nested over its prime-power parts otherwise.
 
     All arithmetic here depends on the kernel only, so it is precomputation
     and contributes nothing to execution tallies.
     """
     b = as_signal(kernel)
     n = len(b)
-    if n < 2:
-        raise ValueError(f"the reduced-multiplication engine needs length >= 2, got {n}")
-    if not is_prime(n):
+    _require_length(n)
+    if is_prime(n):  # one block, without factoring n: the common case
+        return _build(b.samples, (n,))
+    blocks = block_lengths(n)
+    composite = [q for q in blocks if not is_prime(q)]
+    if composite:
         warnings.warn(
-            f"length {n} is composite; results stay exact, but specialized "
-            "composite-length factorizations need fewer multiplications",
+            f"length {n} runs a block of composite length "
+            f"{', '.join(map(str, composite))}; results stay exact, but "
+            "specialized prime-power schedules need fewer multiplications",
             CompositeLengthWarning,
             stacklevel=2,
         )
-    mean = reduce(add, b.samples, 0) / n
-    weights = tuple(mean - value for value in b.samples)
-    return FastPlan(n, weights, mean)
+    return _build(b.samples, blocks)
 
 
-@dataclass(frozen=True)
-class ConvolutionTrace:
-    """Intermediate values of one engine run, for verification tooling.
+def block_plan(kernel) -> FastPlan:
+    """Build a single-block plan for a kernel of length n >= 2, whatever
+    the factors of n; the pair-table tooling is defined on these."""
+    b = as_signal(kernel)
+    _require_length(len(b))
+    return _build(b.samples, (len(b),))
+
+
+class ConvolutionTrace(NamedTuple):
+    """Intermediate values of one single-block run, for verification tooling.
 
     Fields mirror the execution: ``aligned`` is the reversal-aligned data,
     ``base`` the rank-one term, ``pair_table`` the strict upper triangle of
@@ -112,13 +193,12 @@ def _pair_rows(plan: FastPlan, y):
             for i, yi in enumerate(y[:n - 1]))
 
 
-def _execute(plan: FastPlan, z: Signal, tally: OpTally):
-    # Each loop does its arithmetic inline (no Python call per scalar
-    # operation), keeps the operation order of the schedule described in the
-    # module docstring, and charges the tally once with that loop's exact
-    # count.
+def _execute(plan: FastPlan, y, tally: OpTally):
+    # One block on aligned data y; returns (base, sums, out).  Each loop
+    # does its arithmetic inline (no Python call per scalar operation),
+    # keeps the operation order of the schedule described in the module
+    # docstring, and charges the tally once with that loop's exact count.
     n = plan.length
-    y = reverse_permute(z).samples
 
     base = plan.kernel_mean * reduce(add, y)
     tally.adds += n - 1
@@ -162,30 +242,89 @@ def _execute(plan: FastPlan, z: Signal, tally: OpTally):
 
     out = [base - value for value in sums]
     tally.adds += n
-    return y, base, sums, out
+    return base, sums, out
 
 
-def fast_cyclic_convolution(plan: FastPlan, data, tally: OpTally | None = None) -> Signal:
+def _run(plan, y, tally: OpTally) -> list:
+    """The output of ``plan`` on aligned data ``y``, as a list."""
+    if isinstance(plan, FastPlan):
+        return _execute(plan, y, tally)[2]
+    return _nested(plan, y, tally)
+
+
+def _nested(plan: NestedPlan, y, tally: OpTally) -> list:
+    # The block schedule of _execute at length q, in the same operation
+    # order, on length-m vectors: each scalar add is m adds and each
+    # multiplication an inner run.  Reversal on Z_n is reversal in both
+    # coordinates of the map, so the rows gathered from aligned y are the
+    # aligned outer elements with each vector already aligned for its
+    # inner runs, and inner runs return plain vectors.
+    n, q = plan.length, plan.block
+    m = n // q
+    flat = [y[k] for k in plan.order]
+    rows = [flat[a * m:a * m + m] for a in range(q)]
+
+    total = rows[0]
+    for row in rows[1:]:
+        total = list(map(add, total, row))
+    tally.adds += (q - 1) * m
+    base = _run(plan.kernel_mean, total, tally)
+
+    w2 = plan.diff_weights * 2
+    y0 = rows[0]
+    first = [_run(wj, list(map(sub, yj, y0)), tally) for wj, yj in zip(w2[1:q], rows[1:])]
+    acc = first[0]
+    for term in first[1:]:
+        acc = list(map(add, acc, term))
+    sums = [acc]
+    col = [None, *[list(map(neg, term)) for term in first[:-1]]]
+    for i in range(1, q - 1):
+        yi = rows[i]
+        wi = w2[i:i + q]
+        acc = col[i]
+        for j in range(i + 1, q - 1):
+            term = _run(wi[j], list(map(sub, rows[j], yi)), tally)
+            acc = list(map(add, acc, term))
+            col[j] = list(map(sub, col[j], term))
+        last = _run(wi[q - 1], list(map(sub, rows[q - 1], yi)), tally)
+        sums.append(list(map(add, acc, last)))
+    tally.adds += (q * (q - 1) // 2 + (q - 1) * (q - 2)) * m
+    # The zero-sum rebuild, componentwise and untallied as in _execute.
+    sums.append([-reduce(add, column, 0) for column in zip(*sums)])
+
+    outs = [list(map(sub, base, row)) for row in sums]
+    tally.adds += q * m
+    out = [None] * n
+    for k, value in zip(plan.order, chain.from_iterable(outs)):
+        out[k] = value
+    return out
+
+
+def fast_cyclic_convolution(plan: "FastPlan | NestedPlan", data,
+                            tally: OpTally | None = None) -> Signal:
     """Run the reduced-multiplication engine against ``data``.
 
-    Tallies exactly n(n-1)/2 + 1 multiplications and 3n(n-1)/2 + 1
-    additions, matching predicted_counts(n).
+    Tallies exactly predicted_counts(n): n(n-1)/2 + 1 multiplications and
+    3n(n-1)/2 + 1 additions for a single block.
     """
     z = as_signal(data)
     if len(z) != plan.length:
         raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
     if tally is None:
         tally = OpTally()
-    *_, out = _execute(plan, z, tally)
-    return Signal(out)
+    return Signal(_run(plan, reverse_permute(z).samples, tally))
 
 
 def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
-    """Run the engine and expose its intermediates (plain mode)."""
+    """Run a single-block plan and expose its intermediates (plain mode)."""
+    if not isinstance(plan, FastPlan):
+        raise ValueError(f"trace_convolution needs a single-block plan; the length-"
+                         f"{plan.length} plan is nested (build one with block_plan)")
     z = as_signal(data)
     if len(z) != plan.length:
         raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
-    y, base, sums, out = _execute(plan, z, OpTally())
+    y = reverse_permute(z).samples
+    base, sums, out = _execute(plan, y, OpTally())
     return ConvolutionTrace(
         aligned=tuple(y),
         base=base,
@@ -195,17 +334,31 @@ def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
     )
 
 
+def _block_counts(q: int) -> tuple[int, int]:
+    return (q * (q - 1) // 2 + 1, 3 * q * (q - 1) // 2 + 1)
+
+
 def predicted_counts(n: int) -> tuple[int, int]:
-    """Closed-form (multiplications, additions) for a length-n run."""
-    if n < 2:
-        raise ValueError(f"the reduced-multiplication engine needs length >= 2, got {n}")
-    return (n * (n - 1) // 2 + 1, 3 * n * (n - 1) // 2 + 1)
+    """Closed-form (multiplications, additions) for a length-n run.
+
+    A block of length q costs M(q) = q(q-1)/2 + 1 and A(q) = 3q(q-1)/2 + 1;
+    nesting q over m costs M(q)M(m) and A(q)m + M(q)A(m).
+    """
+    _require_length(n)
+    *outer, m = block_lengths(n)
+    mults, adds = _block_counts(m)
+    for q in reversed(outer):
+        block_mults, block_adds = _block_counts(q)
+        mults, adds = block_mults * mults, block_adds * m + block_mults * adds
+        m *= q
+    return mults, adds
 
 
 def multiplication_lower_bound(n: int) -> int:
-    """Proven lower bound 2(n-1) on multiplications for length-n cyclic
-    convolution by a commutative bilinear algorithm.  Reported alongside
-    measured counts; never used as a pass/fail gate."""
+    """Winograd's minimum 2n - d(n) multiplications for length-n cyclic
+    convolution by a bilinear algorithm over the rationals, where d(n)
+    counts the divisors of n (the irreducible factors of x^n - 1).
+    Reported alongside measured counts; never used as a pass/fail gate."""
     if n < 2:
         raise ValueError(f"length must be >= 2, got {n}")
-    return 2 * (n - 1)
+    return 2 * n - sum(1 for d in range(1, n + 1) if n % d == 0)

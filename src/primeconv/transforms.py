@@ -9,10 +9,10 @@ kernel), and linear convolution by cyclic zero padding.
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from operator import add
+from typing import NamedTuple
 
 from .counting import OpTally
 from .core import (
@@ -51,8 +51,9 @@ class ConvolutionEngine(Enum):
         raise ValueError(f"unknown engine {name!r}; expected one of: {names}")
 
     def prepare(self, kernel):
-        """Do this engine's kernel-only work once (the fast plan for
-        fast-prime) and return ``run(data, tally=None) -> Signal``."""
+        """Do this engine's kernel-only work once (the fast plan, nested
+        at composite lengths, for fast-prime) and return
+        ``run(data, tally=None) -> Signal``."""
         if self is ConvolutionEngine.FAST_PRIME:
             plan = plan_create(kernel)
             return lambda data, tally=None: fast_cyclic_convolution(plan, data, tally)
@@ -119,14 +120,15 @@ def find_primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found for {p}")  # unreachable for prime p
 
 
-@dataclass(frozen=True)
-class DftPlan:
+class DftPlan(NamedTuple):
     """Fixed data for a prime-length DFT: index maps and twiddle kernel.
 
     input_order[m] = g^{-m} mod p selects the permuted samples that feed
     the convolution; output_order[l] = g^l mod p scatters convolution
     results onto DFT bins 1 .. p-1.  ``kernel`` holds twiddles
-    exp(-2*pi*i*g^t/p).  Construction is precomputation.
+    exp(-2*pi*i*g^t/p).  Construction is precomputation.  A NamedTuple,
+    like the fast plans, because a frozen dataclass costs about 1 ms at
+    import.
     """
 
     length: int
@@ -137,15 +139,19 @@ class DftPlan:
 
 
 def dft_plan(p: int) -> DftPlan:
-    """Build the Rader reindexing plan for prime p >= 3."""
+    """Build the Rader reindexing plan for prime p >= 3.
+
+    The powers of g come from one running product, x = x * g mod p, and
+    input_order reads them backwards: g^{-m} = g^{(p-1)-m}.
+    """
     g = find_primitive_root(p)
-    g_inv = pow(g, p - 2, p)
-    m = p - 1
-    input_order = tuple(pow(g_inv, i, p) for i in range(m))
-    output_order = tuple(pow(g, i, p) for i in range(m))
+    output_order = [1]
+    for _ in range(p - 2):
+        output_order.append(output_order[-1] * g % p)
+    input_order = output_order[:1] + output_order[:0:-1]
     roots = _unit_roots(p)
-    kernel = Signal(roots[pow(g, t, p)] for t in range(m))
-    return DftPlan(p, g, input_order, output_order, kernel)
+    kernel = Signal(roots[k] for k in output_order)
+    return DftPlan(p, g, tuple(input_order), tuple(output_order), kernel)
 
 
 def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine.DIRECT) -> Signal:
@@ -154,7 +160,9 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     X[0] is the plain sample sum; for k >= 1 the bins are x[0] plus the
     cyclic convolution of the permuted input with the twiddle kernel.
     Any engine works: p - 1 is composite for p >= 5, which every engine
-    accepts; the fast engine's composite-length advisory is silenced here.
+    accepts.  Fast-prime nests over the prime-power parts of p - 1; its
+    advisory for a composite prime-power part (4 in 12 = 3 * 4, at p = 13)
+    is silenced here.
     """
     x = as_signal(data)
     p = plan.length
@@ -164,7 +172,7 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     zero_bin = complex(reduce(add, xs, 0))
     permuted = Signal(xs[idx] for idx in plan.input_order)
     with warnings.catch_warnings():
-        # p - 1 is composite for every p >= 5; expected here, not advisory-worthy.
+        # p - 1 may have a part such as 4 or 8; expected here, not advisory-worthy.
         warnings.simplefilter("ignore", CompositeLengthWarning)
         conv = cyclic_convolution(plan.kernel, permuted, engine)
     out = [complex(0.0, 0.0)] * p

@@ -21,7 +21,8 @@ from .core import (
 from .counting import OpTally
 from .fast import (
     CompositeLengthWarning,
-    FastPlan,
+    NestedPlan,
+    block_plan,
     fast_cyclic_convolution,
     plan_create,
     trace_convolution,
@@ -166,9 +167,13 @@ class SuiteResult:
     detail: str
 
 
-def _perturbed(plan: FastPlan) -> FastPlan:
-    weights = (plan.diff_weights[0] + 1e-3,) + plan.diff_weights[1:]
-    return FastPlan(plan.length, weights, plan.kernel_mean)
+def _perturbed(plan):
+    """The plan with one difference weight moved by 1e-3.  A nested plan
+    passes the fault down its kernel-mean plan, whose runs feed every
+    output, to the innermost block (length >= 3, where w[0] is used)."""
+    if isinstance(plan, NestedPlan):
+        return plan._replace(kernel_mean=_perturbed(plan.kernel_mean))
+    return plan._replace(diff_weights=(plan.diff_weights[0] + 1e-3,) + plan.diff_weights[1:])
 
 
 def _fmt_sizes(sizes) -> str:
@@ -221,7 +226,7 @@ def _antisymmetry_suite(seed, stream_index, tol):
     sizes = range(2, 17)
     worst = 0.0
     for n in sizes:
-        plan = plan_create(real_vector(rng, n))
+        plan = block_plan(real_vector(rng, n))
         y = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         w = plan.diff_weights
         table = [[w[(i + j) % n] * (y[j] - y[i]) for j in range(n)] for i in range(n)]
@@ -244,7 +249,7 @@ def _component_sum_suite(seed, stream_index, tol):
     for n in range(2, 17):
         kernel = real_vector(rng, n)
         data = real_vector(rng, n)
-        trace = trace_convolution(plan_create(kernel), data)
+        trace = trace_convolution(block_plan(kernel), data)
         if reduce(add, trace.component_sums, 0) != 0.0:
             exact_failures += 1
         oracle = correction_oracle(kernel, data)

@@ -12,6 +12,7 @@ from operator import add
 
 from primeconv.core import as_signal, reverse_permute
 from primeconv.counting import OpTally, Scalar
+from primeconv.fast import FastPlan
 
 
 def counted_mul(a: Scalar, b: Scalar, tally: OpTally) -> Scalar:
@@ -46,23 +47,23 @@ def direct(kernel, data, tally: OpTally):
     return out
 
 
-def fast_execute(plan, data, tally: OpTally):
-    """fast._execute: returns (aligned, base, upper table, sums, output)."""
-    n = plan.length
+def block_schedule(plan, y, add_, sub_, mul_):
+    """fast._execute's schedule on aligned ring elements ``y``: returns
+    (base, upper table, sums, output).  ``mul_(weight, element)`` and the
+    additions are the ring's operations; negation is free."""
+    n = len(y)
     w = plan.diff_weights
-    y = reverse_permute(data).samples
 
     total = y[0]
     for j in range(1, n):
-        total = counted_add(total, y[j], tally)
-    base = counted_mul(plan.kernel_mean, total, tally)
+        total = add_(total, y[j])
+    base = mul_(plan.kernel_mean, total)
 
     upper = []
     for i in range(n - 1):
         row = []
         for j in range(i + 1, n):
-            diff = counted_sub(y[j], y[i], tally)
-            row.append(counted_mul(w[(i + j) % n], diff, tally))
+            row.append(mul_(w[(i + j) % n], sub_(y[j], y[i])))
         upper.append(row)
 
     sums = []
@@ -73,15 +74,63 @@ def fast_execute(plan, data, tally: OpTally):
                 continue
             if j > i:
                 term = upper[i][j - i - 1]
-                acc = term if acc is None else counted_add(acc, term, tally)
+                acc = term if acc is None else add_(acc, term)
             else:
                 term = upper[j][i - j - 1]
-                acc = -term if acc is None else counted_sub(acc, term, tally)
+                acc = negate(term) if acc is None else sub_(acc, term)
         sums.append(acc)
-    sums.append(-reduce(add, sums, 0))  # untallied, as in the engine
+    # Untallied, as in the engine: a left fold from 0, componentwise.
+    if isinstance(y[0], list):
+        sums.append([-reduce(add, column, 0) for column in zip(*sums)])
+    else:
+        sums.append(-reduce(add, sums, 0))
 
-    out = [counted_sub(base, value, tally) for value in sums]
+    out = [sub_(base, value) for value in sums]
+    return base, upper, sums, out
+
+
+def negate(value):
+    return [-v for v in value] if isinstance(value, list) else -value
+
+
+def fast_execute(plan, data, tally: OpTally):
+    """fast._execute for a single-block plan: returns (aligned, base, upper
+    table, sums, output)."""
+    y = reverse_permute(data).samples
+    base, upper, sums, out = block_schedule(
+        plan, y,
+        lambda a, b: counted_add(a, b, tally),
+        lambda a, b: counted_sub(a, b, tally),
+        lambda a, b: counted_mul(a, b, tally))
     return y, base, upper, sums, out
+
+
+def fast_run(plan, data, tally: OpTally) -> list:
+    """fast._run: the output of a single-block or nested plan."""
+    if isinstance(plan, FastPlan):
+        return fast_execute(plan, data, tally)[4]
+    return fast_nested(plan, data, tally)
+
+
+def fast_nested(plan, data, tally: OpTally) -> list:
+    """fast._nested: the block schedule at length q over length-m vectors
+    of the Good-Thomas map, whose products are inner runs and whose sums
+    are elementwise."""
+    n, q = plan.length, plan.block
+    m = n // q
+    zs = as_signal(data).samples
+    rows = [[zs[k] for k in plan.order[a * m:a * m + m]] for a in range(q)]
+    y = rows[:1] + rows[:0:-1]  # outer reversal alignment
+    *_, outs = block_schedule(
+        plan, y,
+        lambda u, v: [counted_add(a, b, tally) for a, b in zip(u, v)],
+        lambda u, v: [counted_sub(a, b, tally) for a, b in zip(u, v)],
+        lambda inner, v: fast_run(inner, v, tally))
+    out = [None] * n
+    for a, row in enumerate(outs):
+        for c, value in enumerate(row):
+            out[plan.order[a * m + c]] = value
+    return out
 
 
 def poly_mul(a, b, tally: OpTally) -> list:

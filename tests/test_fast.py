@@ -8,6 +8,10 @@ from primeconv.core import direct_cyclic_convolution, max_relative_error
 from primeconv.counting import OpTally
 from primeconv.fast import (
     CompositeLengthWarning,
+    FastPlan,
+    NestedPlan,
+    block_lengths,
+    block_plan,
     fast_cyclic_convolution,
     multiplication_lower_bound,
     plan_create,
@@ -32,7 +36,7 @@ def test_plan_weights_match_matrix_definition():
     rng = rng_for(10)
     for n in range(2, 17):
         kernel = real_samples(rng, n)
-        plan = plan_create(kernel)
+        plan = block_plan(kernel)
         explicit = explicit_plan_weights(kernel)
         assert max(abs(a - b) for a, b in zip(plan.diff_weights, explicit)) < 1e-12
 
@@ -40,23 +44,58 @@ def test_plan_weights_match_matrix_definition():
 def test_plan_weights_sum_to_zero():
     rng = rng_for(11)
     for n in range(2, 20):
-        plan = plan_create(real_samples(rng, n))
+        plan = block_plan(real_samples(rng, n))
         assert abs(sum(plan.diff_weights)) < 1e-12
 
 
 def test_plan_rejects_length_one():
     with pytest.raises(ValueError):
         plan_create([1.0])
+    with pytest.raises(ValueError):
+        block_plan([1.0])
+
+
+def test_block_lengths_are_ascending_prime_powers():
+    assert block_lengths(2) == (2,)
+    assert block_lengths(8) == (8,)
+    assert block_lengths(12) == (3, 4)
+    assert block_lengths(60) == (3, 4, 5)
+    assert block_lengths(210) == (2, 3, 5, 7)
+    assert block_lengths(498) == (2, 3, 83)
 
 
 def test_plan_warns_on_composite_length():
-    with pytest.warns(CompositeLengthWarning):
+    # Only a composite prime-power block (4, 8, 9, ...) draws the advisory.
+    with pytest.warns(CompositeLengthWarning, match="length 4"):
         plan_create([1.0, 2.0, 3.0, 4.0])
+    with pytest.warns(CompositeLengthWarning, match="length 12 .* 4"):
+        plan_create([1.0] * 12)
 
 
 def test_plan_is_silent_on_prime_length(recwarn):
     plan_create([1.0, 2.0, 3.0, 4.0, 5.0])
     assert not [w for w in recwarn if issubclass(w.category, CompositeLengthWarning)]
+
+
+def test_plan_is_silent_when_every_block_is_prime(recwarn):
+    for n in (6, 30, 498):
+        plan_create([1.0] * n)
+    assert not [w for w in recwarn if issubclass(w.category, CompositeLengthWarning)]
+
+
+def test_plan_nests_over_the_smallest_part():
+    plan = plan_create([float(k) for k in range(498)])
+    assert isinstance(plan, NestedPlan)
+    assert (plan.length, plan.block) == (498, 2)
+    # Good-Thomas: order[a * m + c] = k with k = a (mod 2), k = c (mod 249).
+    assert sorted(plan.order) == list(range(498))
+    assert all(k % 2 == i // 249 and k % 249 == i % 249 for i, k in enumerate(plan.order))
+    inner = plan.kernel_mean
+    assert isinstance(inner, NestedPlan) and (inner.length, inner.block) == (249, 3)
+    assert isinstance(inner.kernel_mean, FastPlan) and inner.kernel_mean.length == 83
+    assert len(plan.diff_weights) == 2 and len(inner.diff_weights) == 3
+    assert isinstance(plan_create([1.0] * 8), FastPlan)
+    assert isinstance(block_plan([1.0] * 6), FastPlan)
 
 
 # --- engine output ----------------------------------------------------------
@@ -81,7 +120,7 @@ def test_fast_agrees_with_direct_real():
 
 def test_fast_agrees_with_direct_complex():
     rng = rng_for(13)
-    for n in (2, 3, 5, 7, 11, 12, 16):
+    for n in (2, 3, 5, 7, 11, 12, 16, 60, 210, 498):
         kernel = complex_samples(rng, n)
         plan = plan_create(kernel)
         for _ in range(5):
@@ -116,15 +155,55 @@ def test_fast_counts_fixed_values():
         assert tally.counts == expected
 
 
+def block_counts(q):
+    return (q * (q - 1) // 2 + 1, 3 * q * (q - 1) // 2 + 1)
+
+
+def nested_counts(n):
+    """M(q x m) = M(q) M(m) and A(q x m) = A(q) m + M(q) A(m), with q the
+    smallest prime-power part of n and m = n / q."""
+    parts = block_lengths(n)
+    if len(parts) == 1:
+        return block_counts(n)
+    q, m = parts[0], n // parts[0]
+    (mq, aq), (mm, am) = block_counts(q), nested_counts(m)
+    return (mq * mm, aq * m + mq * am)
+
+
 def test_fast_counts_match_closed_form_everywhere():
-    # Composite lengths included: the schedule does not branch on primality.
+    # A prime power is one block; other lengths nest over their parts.
     rng = rng_for(16)
     for n in range(2, 41):
         plan = plan_create(real_samples(rng, n))
         tally = OpTally()
         fast_cyclic_convolution(plan, real_samples(rng, n), tally)
-        assert tally.counts == predicted_counts(n)
-        assert predicted_counts(n) == (n * (n - 1) // 2 + 1, 3 * n * (n - 1) // 2 + 1)
+        assert tally.counts == predicted_counts(n) == nested_counts(n), n
+        if len(block_lengths(n)) == 1:
+            assert predicted_counts(n) == block_counts(n), n
+
+
+def test_fast_counts_nested_fixed_values():
+    # Direct needs n^2 mults; one block of n needs n(n-1)/2 + 1.
+    expected = {6: (8, 32), 12: (28, 116), 30: (88, 408), 60: (308, 1448),
+                210: (1936, 8488), 498: (27232, 84336)}
+    for n, counts in expected.items():
+        assert predicted_counts(n) == counts, n
+    assert block_counts(498) == (123754, 371260)
+    rng = rng_for(22)
+    for n in (60, 498):
+        tally = OpTally()
+        fast_cyclic_convolution(plan_create(real_samples(rng, n)), real_samples(rng, n), tally)
+        assert tally.counts == expected[n]
+
+
+def test_block_plan_runs_one_block_at_composite_length():
+    rng = rng_for(23)
+    for n in (6, 12, 30):
+        kernel, data = real_samples(rng, n), real_samples(rng, n)
+        tally = OpTally()
+        got = fast_cyclic_convolution(block_plan(kernel), data, tally)
+        assert tally.counts == block_counts(n)
+        assert max_relative_error(got, direct_cyclic_convolution(kernel, data)) < 1e-12
 
 
 def test_predicted_counts_rejects_length_one():
@@ -133,15 +212,19 @@ def test_predicted_counts_rejects_length_one():
 
 
 def test_multiplication_lower_bound():
+    # 2n - d(n), with d(n) the number of divisors of n; 2(n - 1) at primes.
     assert multiplication_lower_bound(2) == 2
     assert multiplication_lower_bound(23) == 44
+    assert multiplication_lower_bound(6) == 8
+    assert multiplication_lower_bound(12) == 18
     with pytest.raises(ValueError):
         multiplication_lower_bound(1)
-    # The engine meets the bound at n = 2 and 3, then drifts above it.
-    assert predicted_counts(2)[0] == multiplication_lower_bound(2)
-    assert predicted_counts(3)[0] == multiplication_lower_bound(3)
+    # The engine meets the bound at n = 2, 3 and 6 and is above it elsewhere.
+    for n in (2, 3, 6):
+        assert predicted_counts(n)[0] == multiplication_lower_bound(n), n
     for n in range(4, 30):
-        assert predicted_counts(n)[0] > multiplication_lower_bound(n)
+        if n != 6:
+            assert predicted_counts(n)[0] > multiplication_lower_bound(n), n
 
 
 # --- trace internals --------------------------------------------------------
@@ -151,7 +234,7 @@ def test_trace_shapes_and_output():
     for n in range(2, 10):
         kernel = real_samples(rng, n)
         data = real_samples(rng, n)
-        plan = plan_create(kernel)
+        plan = block_plan(kernel)
         trace = trace_convolution(plan, data)
         assert len(trace.aligned) == n
         assert len(trace.pair_table) == n - 1
@@ -166,7 +249,7 @@ def test_trace_component_sums_cancel_exactly():
     # rebuilds it: a left fold from 0 (sum() compensates from Python 3.12).
     rng = rng_for(18)
     for n in range(2, 17):
-        plan = plan_create(real_samples(rng, n))
+        plan = block_plan(real_samples(rng, n))
         trace = trace_convolution(plan, real_samples(rng, n))
         assert reduce(add, trace.component_sums, 0) == 0.0
 
@@ -176,7 +259,7 @@ def test_trace_components_match_matrix_oracle():
     for n in range(2, 17):
         kernel = real_samples(rng, n)
         data = real_samples(rng, n)
-        trace = trace_convolution(plan_create(kernel), data)
+        trace = trace_convolution(block_plan(kernel), data)
         oracle = correction_oracle(kernel, data)
         scale = max(1.0, max(abs(v) for v in oracle))
         assert max(abs(a - b) for a, b in zip(trace.component_sums, oracle)) / scale < 1e-10
@@ -187,13 +270,18 @@ def test_trace_base_term():
     for n in range(2, 10):
         kernel = real_samples(rng, n)
         data = real_samples(rng, n)
-        trace = trace_convolution(plan_create(kernel), data)
+        trace = trace_convolution(block_plan(kernel), data)
         assert trace.base == pytest.approx(sum(kernel) * sum(data) / n)
 
 
 def test_output_equals_base_minus_components():
     rng = rng_for(21)
     for n in range(2, 10):
-        trace = trace_convolution(plan_create(real_samples(rng, n)), real_samples(rng, n))
+        trace = trace_convolution(block_plan(real_samples(rng, n)), real_samples(rng, n))
         rebuilt = [trace.base - h for h in trace.component_sums]
         assert max_relative_error(rebuilt, trace.output) < 1e-15
+
+
+def test_trace_rejects_nested_plan():
+    with pytest.raises(ValueError, match="length-6 plan is nested"):
+        trace_convolution(plan_create([1.0] * 6), [1.0] * 6)

@@ -11,9 +11,21 @@ import pytest
 
 from helpers import bits, complex_samples, mixed_samples, real_samples, rng_for
 from primeconv.counting import OpTally
+from primeconv.fast import block_lengths, predicted_counts
 from primeconv.transforms import ConvolutionEngine
 
-SIZES = tuple(range(2, 40)) + (97, 101, 498, 499)
+SIZES = tuple(range(2, 40)) + (60, 97, 101, 210, 498, 499)
+
+
+def rebuild_adds(n: int) -> int:
+    """Fast-prime's untallied zero-sum rebuild: E(q) = q - 1 for one block,
+    and E(q x m) = (q - 1) m + M(q) E(m) nested, with q the smallest
+    prime-power part of n and m = n / q."""
+    parts = block_lengths(n)
+    if len(parts) == 1:
+        return n - 1
+    q, m = parts[0], n // parts[0]
+    return (q - 1) * m + predicted_counts(q)[0] * rebuild_adds(m)
 
 
 class OpCounter:
@@ -119,9 +131,10 @@ def run_counted(engine, n, make, index):
         # Direct: every operation is tallied.
         (ConvolutionEngine.DIRECT, lambda n: (n * n, n * (n - 1))),
         # Fast-prime: the zero-sum reconstruction of the last correction,
-        # a left fold from 0 over the other n - 1, does n - 1 untallied adds.
+        # a left fold from 0 over the other components, is untallied; one
+        # block does n - 1 such adds, nested plans E(n) in all.
         (ConvolutionEngine.FAST_PRIME,
-         lambda n: (n * (n - 1) // 2 + 1, 3 * n * (n - 1) // 2 + 1 + (n - 1))),
+         lambda n: (predicted_counts(n)[0], predicted_counts(n)[1] + rebuild_adds(n))),
         # Two-factor: every operation is tallied, the closed-form
         # recombination included.
         (ConvolutionEngine.WINOGRAD_TWO_FACTOR, lambda n: ((n - 1) ** 2 + 2, n * n + 2 * n - 4)),
@@ -129,6 +142,7 @@ def run_counted(engine, n, make, index):
     ids=["direct", "fast-prime", "two-factor"],
 )
 def test_physical_counts_match_closed_forms(engine, physical, make):
+    assert rebuild_adds(498) == 1237
     for index, n in enumerate(SIZES):
         counted, tallied, out, plain_out = run_counted(engine, n, make, 700 + index)
         assert tallied == engine.predicted_counts(n), n

@@ -10,11 +10,13 @@ import pytest
 import reference_engines as ref
 from helpers import bits, complex_samples, mixed_samples, real_samples, rng_for
 from primeconv.counting import OpTally
-from primeconv.fast import plan_create, trace_convolution
+from primeconv.fast import block_plan, plan_create, trace_convolution
 from primeconv.polycrt import _reduce_mod_all_ones, poly_mul
 from primeconv.transforms import ConvolutionEngine
 
-SIZES = tuple(range(1, 41)) + (97, 498, 499)
+# 60 = 3 * 4 * 5 nests over a composite prime-power block; 210 = 2 * 3 * 5 * 7
+# nests four levels deep; 498 = 2 * 3 * 83 is Rader's length at p = 499.
+SIZES = tuple(range(1, 41)) + (60, 97, 210, 498, 499)
 ZERO_SIZES = tuple(range(1, 41)) + (97,)
 
 
@@ -41,7 +43,7 @@ def inputs(make, index: int):
 
 
 def reference_fast(kernel, data, tally):
-    return ref.fast_execute(plan_create(kernel), data, tally)[4]
+    return ref.fast_run(plan_create(kernel), data, tally)
 
 
 MAKERS = pytest.mark.parametrize("make", [real_samples, complex_samples, mixed_samples],
@@ -73,7 +75,7 @@ def test_fast_trace_matches_reference_intermediates(make):
     for n, kernel, data in inputs(make, 801):
         if n < 2:
             continue
-        plan = plan_create(kernel)
+        plan = block_plan(kernel)
         trace = trace_convolution(plan, data)
         aligned, base, upper, sums, out = ref.fast_execute(plan, data, OpTally())
         assert bits(trace.aligned) == bits(aligned), n

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import bits, complex_samples, real_samples, rng_for
 from primeconv.cli import main as cli_main
-from primeconv.core import Signal, direct_cyclic_convolution, max_relative_error
+from primeconv.core import Signal, direct_cyclic_convolution, is_prime, max_relative_error
 from primeconv.counting import OpTally
 from primeconv.fast import CompositeLengthWarning, plan_create
 from primeconv.transforms import (
@@ -149,6 +149,20 @@ def test_dft_plan_structure():
         assert all(abs(abs(v) - 1.0) < 1e-12 for v in plan.kernel)
 
 
+def test_dft_plan_matches_power_definition():
+    # input_order[m] = g^-m, output_order[l] = g^l and kernel[t] =
+    # exp(-2 pi i g^t / p), each power by pow(), as the plan defines them.
+    for p in filter(is_prime, range(3, 600)):
+        plan = dft_plan(p)
+        g = find_primitive_root(p)
+        g_inv = pow(g, p - 2, p)
+        assert plan.root == g
+        assert plan.input_order == tuple(pow(g_inv, i, p) for i in range(p - 1))
+        assert plan.output_order == tuple(pow(g, i, p) for i in range(p - 1))
+        want = [cmath.exp(complex(0.0, -2.0 * math.pi * pow(g, t, p) / p)) for t in range(p - 1)]
+        assert bits(plan.kernel) == bits(want)
+
+
 def test_rader_matches_naive_all_engines():
     rng = rng_for(42)
     for p in (3, 5, 7, 11, 13, 17):
@@ -170,18 +184,19 @@ def test_rader_accepts_real_input():
 
 def test_rader_and_dft_cli_emit_no_composite_length_warning(tmp_path):
     # pyproject.toml ignores this warning suite-wide, so record every warning.
-    data = complex_samples(rng_for(46), 7)
+    # At p = 13 fast-prime nests 12 = 3 * 4, and the block of 4 warns.
+    data = complex_samples(rng_for(46), 13)
     path = tmp_path / "data.txt"
     path.write_text("".join(f"{v.real!r} {v.imag!r}\n" for v in data))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        plan = dft_plan(7)
+        plan = dft_plan(13)
         for engine in ALL_ENGINES:
             rader_dft(plan, data, engine)
         argv = ["dft", str(path), "--engine", "fast-prime", "--out", str(tmp_path / "out.txt")]
         assert cli_main(argv) == 0
         assert not [w for w in caught if issubclass(w.category, CompositeLengthWarning)]
-        plan_create(plan.kernel)  # the length-6 kernel alone does warn
+        plan_create(plan.kernel)  # the length-12 kernel alone does warn
     assert [w for w in caught if issubclass(w.category, CompositeLengthWarning)]
 
 
