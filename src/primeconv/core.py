@@ -116,14 +116,15 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def reverse_permute(signal) -> Signal:
+def reverse_permute(signal) -> tuple:
     """Reversal alignment: out[0] = in[0], out[k] = in[n - k].
 
     The map is its own inverse.  It is pure index shuffling, so it never
-    contributes to an operation tally.
+    contributes to an operation tally, and it returns a plain tuple: a
+    permutation cannot make a checked sample non-finite.
     """
     z = as_signal(signal).samples
-    return Signal(z[:1] + z[:0:-1])
+    return z[:1] + z[:0:-1]
 
 
 def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Signal:

@@ -24,14 +24,14 @@ Composite lengths nest (Agarwal and Cooley, "New algorithms for digital
 convolution", IEEE TASSP 1977).  When n has two or more coprime
 prime-power parts, q is the smallest and m = n / q.  The Good-Thomas map
 k -> (k mod q, k mod m) turns the length-n cyclic convolution into a
-q x m two-dimensional one, and the block schedule runs at length q over
-ring elements that are length-m vectors: its additions are vector
-additions and each of its multiplications is a run of an inner plan, built
-the same way from a length-m kernel vector.  Multiplications multiply
-across levels, so 498 = 2 * 3 * 83 costs 2 * 4 * 3404 = 27,232 of them
-against 123,754 for one block of 498.  A prime power is a single block.
-A block that is a composite prime power (4, 8, 9, ...) stays exact but
-draws an advisory warning.
+q x m two-dimensional one, and the same block schedule, the same code,
+runs at length q over ring elements that are length-m vectors: its
+additions act lane by lane and each of its multiplications is a run of an
+inner plan, built the same way from a length-m kernel vector.
+Multiplications multiply across levels, so 498 = 2 * 3 * 83 costs
+2 * 4 * 3404 = 27,232 of them against 123,754 for one block of 498.  A
+prime power is a single block.  A block that is a composite prime power
+(4, 8, 9, ...) stays exact but draws an advisory warning.
 """
 
 import warnings
@@ -77,17 +77,15 @@ class NestedPlan(NamedTuple):
 
     Attributes:
         length: signal length n.
-        block: q, the smallest prime-power part of n; the outer block
-            schedule runs at this length.
         order: order[a * m + c] is the k with k = a (mod q) and k = c
             (mod m), the Good-Thomas map read row by row.
         diff_weights: q inner plans of length m, one per kernel vector
-            w[a] = kernel_mean - (row a of the mapped kernel).
+            w[a] = kernel_mean - (row a of the mapped kernel); q is the
+            smallest prime-power part of n and the outer block's length.
         kernel_mean: the inner plan of the mean of the q kernel rows.
     """
 
     length: int
-    block: int
     order: tuple
     diff_weights: tuple
     kernel_mean: "FastPlan | NestedPlan"
@@ -126,7 +124,7 @@ def _build(b: tuple, blocks: tuple) -> "FastPlan | NestedPlan":
         total = list(map(add, total, row))
     mean = [t / q for t in total]
     weights = tuple(_build(tuple(map(sub, mean, row)), inner) for row in rows)
-    return NestedPlan(n, q, tuple(order), weights, _build(tuple(mean), inner))
+    return NestedPlan(n, tuple(order), weights, _build(tuple(mean), inner))
 
 
 def plan_create(kernel) -> "FastPlan | NestedPlan":
@@ -193,12 +191,13 @@ def _pair_rows(plan: FastPlan, y):
             for i, yi in enumerate(y[:n - 1]))
 
 
-def _execute(plan: FastPlan, y, tally: OpTally):
-    # One block on aligned data y; returns (base, sums, out).  Each loop
-    # does its arithmetic inline (no Python call per scalar operation),
-    # keeps the operation order of the schedule described in the module
-    # docstring, and charges the tally once with that loop's exact count.
-    n = plan.length
+def _execute(plan: "FastPlan | NestedPlan", y, tally: OpTally):
+    # One block on aligned ring elements y (scalars, or _Lanes for a nested
+    # plan); returns (base, sums, out).  Each loop does its arithmetic inline
+    # (no Python call per scalar operation), keeps the operation order of the
+    # schedule described in the module docstring, and charges the tally once
+    # with that loop's exact count.
+    n = len(plan.diff_weights)
 
     base = plan.kernel_mean * reduce(add, y)
     tally.adds += n - 1
@@ -245,57 +244,47 @@ def _execute(plan: FastPlan, y, tally: OpTally):
     return base, sums, out
 
 
+class _Lanes:
+    """A length-m vector, one ring element of a nested plan's outer block.
+    ``+``, ``-`` and ``0 + v`` act lane by lane and return a new vector (the
+    schedule reuses its accumulators); ``plan * v`` runs that inner plan."""
+
+    __slots__ = ("lanes", "tally")
+
+    def __init__(self, lanes: list, tally: OpTally):
+        self.lanes = lanes
+        self.tally = tally
+
+    def __add__(self, other):
+        return _Lanes(list(map(add, self.lanes, other.lanes)), self.tally)
+
+    def __radd__(self, zero):
+        return _Lanes([zero + value for value in self.lanes], self.tally)
+
+    def __sub__(self, other):
+        return _Lanes(list(map(sub, self.lanes, other.lanes)), self.tally)
+
+    def __neg__(self):
+        return _Lanes(list(map(neg, self.lanes)), self.tally)
+
+    def __rmul__(self, plan):
+        return _Lanes(_run(plan, self.lanes, self.tally), self.tally)
+
+
 def _run(plan, y, tally: OpTally) -> list:
     """The output of ``plan`` on aligned data ``y``, as a list."""
     if isinstance(plan, FastPlan):
         return _execute(plan, y, tally)[2]
-    return _nested(plan, y, tally)
-
-
-def _nested(plan: NestedPlan, y, tally: OpTally) -> list:
-    # The block schedule of _execute at length q, in the same operation
-    # order, on length-m vectors: each scalar add is m adds and each
-    # multiplication an inner run.  Reversal on Z_n is reversal in both
-    # coordinates of the map, so the rows gathered from aligned y are the
-    # aligned outer elements with each vector already aligned for its
-    # inner runs, and inner runs return plain vectors.
-    n, q = plan.length, plan.block
-    m = n // q
+    # Reversal on Z_n reverses both Good-Thomas coordinates, so the rows
+    # gathered from aligned y are aligned outer elements of aligned vectors.
+    # An outer add is m adds; an outer product is an inner run, self-charged.
+    n, m = plan.length, plan.kernel_mean.length
     flat = [y[k] for k in plan.order]
-    rows = [flat[a * m:a * m + m] for a in range(q)]
-
-    total = rows[0]
-    for row in rows[1:]:
-        total = list(map(add, total, row))
-    tally.adds += (q - 1) * m
-    base = _run(plan.kernel_mean, total, tally)
-
-    w2 = plan.diff_weights * 2
-    y0 = rows[0]
-    first = [_run(wj, list(map(sub, yj, y0)), tally) for wj, yj in zip(w2[1:q], rows[1:])]
-    acc = first[0]
-    for term in first[1:]:
-        acc = list(map(add, acc, term))
-    sums = [acc]
-    col = [None, *[list(map(neg, term)) for term in first[:-1]]]
-    for i in range(1, q - 1):
-        yi = rows[i]
-        wi = w2[i:i + q]
-        acc = col[i]
-        for j in range(i + 1, q - 1):
-            term = _run(wi[j], list(map(sub, rows[j], yi)), tally)
-            acc = list(map(add, acc, term))
-            col[j] = list(map(sub, col[j], term))
-        last = _run(wi[q - 1], list(map(sub, rows[q - 1], yi)), tally)
-        sums.append(list(map(add, acc, last)))
-    tally.adds += (q * (q - 1) // 2 + (q - 1) * (q - 2)) * m
-    # The zero-sum rebuild, componentwise and untallied as in _execute.
-    sums.append([-reduce(add, column, 0) for column in zip(*sums)])
-
-    outs = [list(map(sub, base, row)) for row in sums]
-    tally.adds += q * m
+    ring = OpTally()
+    outs = _execute(plan, [_Lanes(flat[c:c + m], tally) for c in range(0, n, m)], ring)[2]
+    tally.adds += ring.adds * m
     out = [None] * n
-    for k, value in zip(plan.order, chain.from_iterable(outs)):
+    for k, value in zip(plan.order, chain.from_iterable(v.lanes for v in outs)):
         out[k] = value
     return out
 
@@ -304,15 +293,16 @@ def fast_cyclic_convolution(plan: "FastPlan | NestedPlan", data,
                             tally: OpTally | None = None) -> Signal:
     """Run the reduced-multiplication engine against ``data``.
 
-    Tallies exactly predicted_counts(n): n(n-1)/2 + 1 multiplications and
-    3n(n-1)/2 + 1 additions for a single block.
+    Tallies exactly predicted_counts(n) = (M(n), A(n)): for a single block
+    M(n) = n(n-1)/2 + 1 multiplications and A(n) = 3n(n-1)/2 + 1 additions,
+    and nesting q over m gives M(q)M(m) and A(q)m + M(q)A(m).
     """
     z = as_signal(data)
     if len(z) != plan.length:
         raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
     if tally is None:
         tally = OpTally()
-    return Signal(_run(plan, reverse_permute(z).samples, tally))
+    return Signal(_run(plan, reverse_permute(z), tally))
 
 
 def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
@@ -323,10 +313,10 @@ def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
     z = as_signal(data)
     if len(z) != plan.length:
         raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
-    y = reverse_permute(z).samples
+    y = reverse_permute(z)
     base, sums, out = _execute(plan, y, OpTally())
     return ConvolutionTrace(
-        aligned=tuple(y),
+        aligned=y,
         base=base,
         pair_table=tuple(tuple(row) for row in _pair_rows(plan, y)),
         component_sums=tuple(sums),

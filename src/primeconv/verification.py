@@ -145,7 +145,7 @@ def correction_oracle(kernel, data) -> tuple:
     """
     b = as_signal(kernel).samples
     n = len(b)
-    y = list(reverse_permute(data).samples)
+    y = list(reverse_permute(data))
     shift = shift_matrix(n)
     vec = mat_vec(seed_column_matrix(n), y)
     out = []

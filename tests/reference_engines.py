@@ -96,7 +96,7 @@ def negate(value):
 def fast_execute(plan, data, tally: OpTally):
     """fast._execute for a single-block plan: returns (aligned, base, upper
     table, sums, output)."""
-    y = reverse_permute(data).samples
+    y = reverse_permute(data)
     base, upper, sums, out = block_schedule(
         plan, y,
         lambda a, b: counted_add(a, b, tally),
@@ -113,10 +113,10 @@ def fast_run(plan, data, tally: OpTally) -> list:
 
 
 def fast_nested(plan, data, tally: OpTally) -> list:
-    """fast._nested: the block schedule at length q over length-m vectors
-    of the Good-Thomas map, whose products are inner runs and whose sums
-    are elementwise."""
-    n, q = plan.length, plan.block
+    """fast._run on a nested plan: the block schedule at length q over
+    length-m vectors of the Good-Thomas map, whose products are inner runs
+    and whose sums are elementwise."""
+    n, q = plan.length, len(plan.diff_weights)
     m = n // q
     zs = as_signal(data).samples
     rows = [[zs[k] for k in plan.order[a * m:a * m + m]] for a in range(q)]

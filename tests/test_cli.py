@@ -169,7 +169,7 @@ def test_verify_is_deterministic(capsys):
 
 def test_verify_inject_fault_fails(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--sizes", "2-6", "--trials", "2", "--inject-fault"
+        capsys, "verify", "--sizes", "2-6,12,30", "--trials", "2", "--inject-fault"
     )
     assert code == 1
     assert "FAIL" in out
