@@ -35,7 +35,9 @@ from .fast import (
     trace_convolution,
 )
 from .polycrt import (
+    TwoFactorPlan,
     poly_mul,
+    two_factor_plan,
     two_factor_predicted_counts,
     two_factor_system,
     winograd_two_factor_convolution,
@@ -65,6 +67,7 @@ __all__ = [
     "OpTally",
     "Scalar",
     "Signal",
+    "TwoFactorPlan",
     "__version__",
     "as_signal",
     "block_lengths",
@@ -90,6 +93,7 @@ __all__ = [
     "reverse_permute",
     "schoolbook_linear_convolution",
     "trace_convolution",
+    "two_factor_plan",
     "two_factor_predicted_counts",
     "two_factor_system",
     "winograd_two_factor_convolution",

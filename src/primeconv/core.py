@@ -10,16 +10,10 @@ The direct evaluation implemented here is the reference that every other
 engine is checked against, so it stays deliberately plain.
 """
 
-import math
+import cmath
 from collections.abc import Iterable, Sequence
 
 from .counting import OpTally, Scalar
-
-
-def _is_finite(value: Scalar) -> bool:
-    if isinstance(value, complex):
-        return math.isfinite(value.real) and math.isfinite(value.imag)
-    return math.isfinite(value)
 
 
 class Signal(Sequence):
@@ -31,9 +25,13 @@ class Signal(Sequence):
         samples = tuple(samples)
         if not samples:
             raise ValueError("a signal needs at least one sample")
-        for value in samples:
-            if not _is_finite(value):
-                raise ValueError(f"non-finite sample {value!r}")
+        # One C-level pass; cmath.isfinite takes ints, Fractions, Decimals,
+        # floats and complex alike.  Only a failure walks the samples, to
+        # name the first bad one.
+        if not all(map(cmath.isfinite, samples)):
+            for value in samples:
+                if not cmath.isfinite(value):
+                    raise ValueError(f"non-finite sample {value!r}")
         self._samples = samples
 
     @property

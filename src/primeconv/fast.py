@@ -32,6 +32,10 @@ Multiplications multiply across levels, so 498 = 2 * 3 * 83 costs
 2 * 4 * 3404 = 27,232 of them against 123,754 for one block of 498.  A
 prime power is a single block.  A block that is a composite prime power
 (4, 8, 9, ...) stays exact but draws an advisory warning.
+
+The nesting here (``NestedPlan``, ``nest``, the lane vectors and ``_run``)
+knows nothing of the block schedule it nests: a block plan carries its own
+``run``.  The two-factor engine in ``polycrt`` nests through it too.
 """
 
 import warnings
@@ -57,38 +61,44 @@ class FastPlan(NamedTuple):
 
     The plan and trace records here are NamedTuples, not frozen
     dataclasses: creating a frozen dataclass costs about 1 ms at import,
-    and every CLI run imports the package afresh.
+    and every CLI run imports the package afresh.  Every field is kernel
+    data, scalar or tuple, so ``nest`` can build a block lane by lane.
 
     Attributes:
-        length: signal length n (>= 2).
         diff_weights: w[k] = kernel_mean - kernel[k]; the weights multiply
             pairwise data differences.  They sum to zero up to roundoff.
         kernel_mean: sum(kernel) / n; multiplies the data sum to form the
             rank-one term.
     """
 
-    length: int
     diff_weights: tuple
     kernel_mean: Scalar
 
+    @property
+    def length(self) -> int:
+        return len(self.diff_weights)
+
+    def run(self, y, tally: OpTally) -> list:
+        """The block's output on aligned data ``y``."""
+        return _execute(self, y, tally)[2]
+
 
 class NestedPlan(NamedTuple):
-    """Precomputed kernel data for a length n = q * m with coprime q and m.
+    """Precomputed kernel data for a length n = q * m with coprime q and m,
+    shared by the engines that nest.
 
     Attributes:
         length: signal length n.
         order: order[a * m + c] is the k with k = a (mod q) and k = c
             (mod m), the Good-Thomas map read row by row.
-        diff_weights: q inner plans of length m, one per kernel vector
-            w[a] = kernel_mean - (row a of the mapped kernel); q is the
-            smallest prime-power part of n and the outer block's length.
-        kernel_mean: the inner plan of the mean of the q kernel rows.
+        block: the engine's block plan of length q, q the smallest
+            prime-power part of n, whose every kernel coefficient is the
+            inner plan (length m) of one kernel vector.
     """
 
     length: int
     order: tuple
-    diff_weights: tuple
-    kernel_mean: "FastPlan | NestedPlan"
+    block: "FastPlan | polycrt.TwoFactorPlan"
 
 
 def block_lengths(n: int) -> tuple[int, ...]:
@@ -107,24 +117,40 @@ def _require_length(n: int) -> None:
         raise ValueError(f"the reduced-multiplication engine needs length >= 2, got {n}")
 
 
-def _build(b: tuple, blocks: tuple) -> "FastPlan | NestedPlan":
-    # Kernel-only arithmetic: precomputation, never tallied.
+def nest(b: tuple, blocks: tuple, build):
+    """The plan of kernel samples ``b`` nested over ``blocks``, the coprime
+    prime-power parts of len(b), ascending: ``build(b)`` for a single part.
+
+    ``build`` makes an engine's block plan from kernel samples.  At
+    n = q * m it runs once, at length q, on the Good-Thomas rows of the
+    kernel as lane vectors, so its kernel arithmetic acts lane by lane;
+    each length-m coefficient of that block then becomes an inner plan.
+    Precomputation, never tallied.
+    """
     n = len(b)
     if len(blocks) == 1:
-        mean = reduce(add, b, 0) / n
-        return FastPlan(n, tuple(mean - value for value in b), mean)
+        return build(b)
     q, inner = blocks[0], blocks[1:]
     m = n // q
     order = [0] * n
     for k in range(n):
         order[k % q * m + k % m] = k
-    rows = [[b[k] for k in order[a * m:a * m + m]] for a in range(q)]
-    total = [0] * m  # a left fold from 0 down each column, row by row
-    for row in rows:
-        total = list(map(add, total, row))
-    mean = [t / q for t in total]
-    weights = tuple(_build(tuple(map(sub, mean, row)), inner) for row in rows)
-    return NestedPlan(n, tuple(order), weights, _build(tuple(mean), inner))
+    flat = [b[k] for k in order]
+    scratch = OpTally()
+    outer = build(tuple(_Lanes(flat[c:c + m], scratch) for c in range(0, n, m)))
+
+    def inner_plan(vector):
+        return nest(tuple(vector.lanes), inner, build)
+
+    return NestedPlan(n, tuple(order), outer._make(
+        tuple(map(inner_plan, field)) if isinstance(field, tuple) else inner_plan(field)
+        for field in outer))
+
+
+def _block(b: tuple) -> FastPlan:
+    # Kernel-only arithmetic: precomputation, never tallied.
+    mean = reduce(add, b, 0) / len(b)
+    return FastPlan(tuple(mean - value for value in b), mean)
 
 
 def plan_create(kernel) -> "FastPlan | NestedPlan":
@@ -138,7 +164,7 @@ def plan_create(kernel) -> "FastPlan | NestedPlan":
     n = len(b)
     _require_length(n)
     if is_prime(n):  # one block, without factoring n: the common case
-        return _build(b.samples, (n,))
+        return _block(b.samples)
     blocks = block_lengths(n)
     composite = [q for q in blocks if not is_prime(q)]
     if composite:
@@ -149,7 +175,7 @@ def plan_create(kernel) -> "FastPlan | NestedPlan":
             CompositeLengthWarning,
             stacklevel=2,
         )
-    return _build(b.samples, blocks)
+    return nest(b.samples, blocks, _block)
 
 
 def block_plan(kernel) -> FastPlan:
@@ -157,7 +183,7 @@ def block_plan(kernel) -> FastPlan:
     the factors of n; the pair-table tooling is defined on these."""
     b = as_signal(kernel)
     _require_length(len(b))
-    return _build(b.samples, (len(b),))
+    return _block(b.samples)
 
 
 class ConvolutionTrace(NamedTuple):
@@ -191,13 +217,13 @@ def _pair_rows(plan: FastPlan, y):
             for i, yi in enumerate(y[:n - 1]))
 
 
-def _execute(plan: "FastPlan | NestedPlan", y, tally: OpTally):
-    # One block on aligned ring elements y (scalars, or _Lanes for a nested
-    # plan); returns (base, sums, out).  Each loop does its arithmetic inline
-    # (no Python call per scalar operation), keeps the operation order of the
-    # schedule described in the module docstring, and charges the tally once
-    # with that loop's exact count.
-    n = len(plan.diff_weights)
+def _execute(plan: FastPlan, y, tally: OpTally):
+    # One block on aligned ring elements y (scalars, or _Lanes when the plan
+    # is a nested plan's block); returns (base, sums, out).  Each loop does
+    # its arithmetic inline (no Python call per scalar operation), keeps the
+    # operation order of the schedule described in the module docstring,
+    # and charges the tally once with that loop's exact count.
+    n = plan.length
 
     base = plan.kernel_mean * reduce(add, y)
     tally.adds += n - 1
@@ -247,7 +273,9 @@ def _execute(plan: "FastPlan | NestedPlan", y, tally: OpTally):
 class _Lanes:
     """A length-m vector, one ring element of a nested plan's outer block.
     ``+``, ``-`` and ``0 + v`` act lane by lane and return a new vector (the
-    schedule reuses its accumulators); ``plan * v`` runs that inner plan."""
+    schedules reuse their accumulators); ``plan * v`` runs that inner plan,
+    and ``v * scalar`` and ``v / scalar`` scale every lane, m mults charged
+    here.  ``nest`` builds blocks on kernel vectors with a scratch tally."""
 
     __slots__ = ("lanes", "tally")
 
@@ -267,21 +295,33 @@ class _Lanes:
     def __neg__(self):
         return _Lanes(list(map(neg, self.lanes)), self.tally)
 
+    def __mul__(self, scale):
+        self.tally.mults += len(self.lanes)
+        return _Lanes([value * scale for value in self.lanes], self.tally)
+
+    def __truediv__(self, scale):
+        self.tally.mults += len(self.lanes)
+        return _Lanes([value / scale for value in self.lanes], self.tally)
+
     def __rmul__(self, plan):
         return _Lanes(_run(plan, self.lanes, self.tally), self.tally)
 
 
 def _run(plan, y, tally: OpTally) -> list:
-    """The output of ``plan`` on aligned data ``y``, as a list."""
-    if isinstance(plan, FastPlan):
-        return _execute(plan, y, tally)[2]
-    # Reversal on Z_n reverses both Good-Thomas coordinates, so the rows
-    # gathered from aligned y are aligned outer elements of aligned vectors.
-    # An outer add is m adds; an outer product is an inner run, self-charged.
-    n, m = plan.length, plan.kernel_mean.length
+    """The output of ``plan`` on data ``y`` (aligned as its engine expects),
+    as a list."""
+    if not isinstance(plan, NestedPlan):
+        return plan.run(y, tally)
+    # Good-Thomas rows of y are the outer block's ring elements; for
+    # fast-prime, reversal on Z_n reverses both coordinates, so rows gathered
+    # from aligned y are aligned outer elements of aligned vectors.  An outer
+    # add is m adds; an outer product is an inner run and a scaling is m
+    # mults, both charged to the tally as they happen.
+    n, block = plan.length, plan.block
+    m = n // block.length
     flat = [y[k] for k in plan.order]
     ring = OpTally()
-    outs = _execute(plan, [_Lanes(flat[c:c + m], tally) for c in range(0, n, m)], ring)[2]
+    outs = block.run([_Lanes(flat[c:c + m], tally) for c in range(0, n, m)], ring)
     tally.adds += ring.adds * m
     out = [None] * n
     for k, value in zip(plan.order, chain.from_iterable(v.lanes for v in outs)):
@@ -324,8 +364,28 @@ def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
     )
 
 
-def _block_counts(q: int) -> tuple[int, int]:
-    return (q * (q - 1) // 2 + 1, 3 * q * (q - 1) // 2 + 1)
+def nested_counts(n: int, block_counts) -> tuple[int, int]:
+    """(multiplications, additions) of a length-n run nested over the
+    prime-power parts of n.
+
+    ``block_counts(q)`` gives one length-q block's (products, scalings,
+    additions): its multiplications by a kernel coefficient, which become
+    inner runs when nested, its multiplications by a constant, which
+    become m lane mults, and its additions, which become m lane adds.  So
+    M(q x m) = P(q)M(m) + S(q)m and A(q x m) = A(q)m + P(q)A(m).
+    """
+    *outer, m = block_lengths(n)
+    products, scalings, adds = block_counts(m)
+    mults = products + scalings
+    for q in reversed(outer):
+        products, scalings, block_adds = block_counts(q)
+        mults, adds = products * mults + scalings * m, block_adds * m + products * adds
+        m *= q
+    return mults, adds
+
+
+def _block_counts(q: int) -> tuple[int, int, int]:
+    return (q * (q - 1) // 2 + 1, 0, 3 * q * (q - 1) // 2 + 1)
 
 
 def predicted_counts(n: int) -> tuple[int, int]:
@@ -335,13 +395,7 @@ def predicted_counts(n: int) -> tuple[int, int]:
     nesting q over m costs M(q)M(m) and A(q)m + M(q)A(m).
     """
     _require_length(n)
-    *outer, m = block_lengths(n)
-    mults, adds = _block_counts(m)
-    for q in reversed(outer):
-        block_mults, block_adds = _block_counts(q)
-        mults, adds = block_mults * mults, block_adds * m + block_mults * adds
-        m *= q
-    return mults, adds
+    return nested_counts(n, _block_counts)
 
 
 def multiplication_lower_bound(n: int) -> int:

@@ -26,7 +26,11 @@ from .core import (
 )
 from .fast import CompositeLengthWarning, fast_cyclic_convolution, plan_create
 from .fast import predicted_counts as fast_predicted_counts
-from .polycrt import two_factor_predicted_counts, winograd_two_factor_convolution
+from .polycrt import (
+    two_factor_plan,
+    two_factor_predicted_counts,
+    winograd_two_factor_convolution,
+)
 
 
 class ConvolutionEngine(Enum):
@@ -51,15 +55,17 @@ class ConvolutionEngine(Enum):
         raise ValueError(f"unknown engine {name!r}; expected one of: {names}")
 
     def prepare(self, kernel):
-        """Do this engine's kernel-only work once (the fast plan, nested
-        at composite lengths, for fast-prime) and return
-        ``run(data, tally=None) -> Signal``."""
+        """Do this engine's kernel-only work once and return
+        ``run(data, tally=None) -> Signal``.  Fast-prime and two-factor
+        build their plans here, nested over the coprime prime-power parts
+        of composite lengths; direct only checks the kernel."""
         if self is ConvolutionEngine.FAST_PRIME:
             plan = plan_create(kernel)
             return lambda data, tally=None: fast_cyclic_convolution(plan, data, tally)
-        kernel = as_signal(kernel)
         if self is ConvolutionEngine.WINOGRAD_TWO_FACTOR:
-            return lambda data, tally=None: winograd_two_factor_convolution(kernel, data, tally)
+            plan = two_factor_plan(kernel)
+            return lambda data, tally=None: winograd_two_factor_convolution(plan, data, tally)
+        kernel = as_signal(kernel)
         return lambda data, tally=None: direct_cyclic_convolution(kernel, data, tally)
 
     def predicted_counts(self, n: int) -> tuple[int, int]:
@@ -160,9 +166,10 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     X[0] is the plain sample sum; for k >= 1 the bins are x[0] plus the
     cyclic convolution of the permuted input with the twiddle kernel.
     Any engine works: p - 1 is composite for p >= 5, which every engine
-    accepts.  Fast-prime nests over the prime-power parts of p - 1; its
-    advisory for a composite prime-power part (4 in 12 = 3 * 4, at p = 13)
-    is silenced here.
+    accepts.  Fast-prime and two-factor nest over the prime-power parts of
+    p - 1 (498 = 2 * 3 * 83 at p = 499); fast-prime's advisory for a
+    composite prime-power part (4 in 12 = 3 * 4, at p = 13) is silenced
+    here.
     """
     x = as_signal(data)
     p = plan.length

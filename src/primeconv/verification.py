@@ -168,11 +168,13 @@ class SuiteResult:
 
 
 def _perturbed(plan):
-    """The plan with one difference weight moved by 1e-3.  A nested plan
-    passes the fault down its kernel-mean plan, whose runs feed every
-    output, to the innermost block (length >= 3, where w[0] is used)."""
+    """The fast-prime plan with one difference weight moved by 1e-3.  A
+    nested plan passes the fault down its block's kernel-mean plan, whose
+    runs feed every output, to the innermost block (length >= 3, where
+    w[0] is used)."""
     if isinstance(plan, NestedPlan):
-        return plan._replace(kernel_mean=_perturbed(plan.kernel_mean))
+        block = plan.block
+        return plan._replace(block=block._replace(kernel_mean=_perturbed(block.kernel_mean)))
     return plan._replace(diff_weights=(plan.diff_weights[0] + 1e-3,) + plan.diff_weights[1:])
 
 
@@ -189,11 +191,12 @@ def _equivalence_suite(name, sizes, trials, seed, stream_index, tol, inject_faul
         plan = plan_create(kernel)
         if inject_fault:
             plan = _perturbed(plan)
+        two_factor = ConvolutionEngine.WINOGRAD_TWO_FACTOR.prepare(kernel)
         for _ in range(trials):
             data = make(rng, n)
             want = direct_cyclic_convolution(kernel, data)
-            got = fast_cyclic_convolution(plan, data)
-            worst = max(worst, max_relative_error(got, want))
+            for got in (fast_cyclic_convolution(plan, data), two_factor(data)):
+                worst = max(worst, max_relative_error(got, want))
     return SuiteResult(
         name=name,
         passed=worst <= tol,

@@ -7,12 +7,15 @@ operators over slices and charge their tallies once per loop; the
 reference-equality tests require bit-identical outputs and identical tallies.
 """
 
+from collections.abc import Callable
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from primeconv.core import as_signal, reverse_permute
 from primeconv.counting import OpTally, Scalar
 from primeconv.fast import FastPlan
+from primeconv.polycrt import TwoFactorPlan
 
 
 def counted_mul(a: Scalar, b: Scalar, tally: OpTally) -> Scalar:
@@ -47,23 +50,48 @@ def direct(kernel, data, tally: OpTally):
     return out
 
 
-def block_schedule(plan, y, add_, sub_, mul_):
+class Ring(NamedTuple):
+    """The operations a block schedule uses on its ring elements:
+    ``mul(coefficient, element)`` multiplies by a kernel coefficient and
+    ``scale(element, constant)`` by a per-length constant."""
+
+    add: Callable
+    sub: Callable
+    mul: Callable
+    scale: Callable
+
+
+def scalars(tally: OpTally) -> Ring:
+    """Scalar ring elements, every operation counted."""
+    return Ring(lambda a, b: counted_add(a, b, tally), lambda a, b: counted_sub(a, b, tally),
+                lambda a, b: counted_mul(a, b, tally), lambda a, b: counted_mul(a, b, tally))
+
+
+def vectors(tally: OpTally, run) -> Ring:
+    """Length-m vectors of a nested plan's outer block: sums and scalings
+    lane by lane, products as ``run(inner_plan, vector, tally)``."""
+    return Ring(lambda u, v: [counted_add(a, b, tally) for a, b in zip(u, v)],
+                lambda u, v: [counted_sub(a, b, tally) for a, b in zip(u, v)],
+                lambda inner, v: run(inner, v, tally),
+                lambda u, c: [counted_mul(a, c, tally) for a in u])
+
+
+def block_schedule(plan, y, ring: Ring):
     """fast._execute's schedule on aligned ring elements ``y``: returns
-    (base, upper table, sums, output).  ``mul_(weight, element)`` and the
-    additions are the ring's operations; negation is free."""
+    (base, upper table, sums, output).  Negation is free."""
     n = len(y)
     w = plan.diff_weights
 
     total = y[0]
     for j in range(1, n):
-        total = add_(total, y[j])
-    base = mul_(plan.kernel_mean, total)
+        total = ring.add(total, y[j])
+    base = ring.mul(plan.kernel_mean, total)
 
     upper = []
     for i in range(n - 1):
         row = []
         for j in range(i + 1, n):
-            row.append(mul_(w[(i + j) % n], sub_(y[j], y[i])))
+            row.append(ring.mul(w[(i + j) % n], ring.sub(y[j], y[i])))
         upper.append(row)
 
     sums = []
@@ -74,10 +102,10 @@ def block_schedule(plan, y, add_, sub_, mul_):
                 continue
             if j > i:
                 term = upper[i][j - i - 1]
-                acc = term if acc is None else add_(acc, term)
+                acc = term if acc is None else ring.add(acc, term)
             else:
                 term = upper[j][i - j - 1]
-                acc = negate(term) if acc is None else sub_(acc, term)
+                acc = negate(term) if acc is None else ring.sub(acc, term)
         sums.append(acc)
     # Untallied, as in the engine: a left fold from 0, componentwise.
     if isinstance(y[0], list):
@@ -85,7 +113,7 @@ def block_schedule(plan, y, add_, sub_, mul_):
     else:
         sums.append(-reduce(add, sums, 0))
 
-    out = [sub_(base, value) for value in sums]
+    out = [ring.sub(base, value) for value in sums]
     return base, upper, sums, out
 
 
@@ -97,88 +125,89 @@ def fast_execute(plan, data, tally: OpTally):
     """fast._execute for a single-block plan: returns (aligned, base, upper
     table, sums, output)."""
     y = reverse_permute(data)
-    base, upper, sums, out = block_schedule(
-        plan, y,
-        lambda a, b: counted_add(a, b, tally),
-        lambda a, b: counted_sub(a, b, tally),
-        lambda a, b: counted_mul(a, b, tally))
+    base, upper, sums, out = block_schedule(plan, y, scalars(tally))
     return y, base, upper, sums, out
 
 
 def fast_run(plan, data, tally: OpTally) -> list:
-    """fast._run: the output of a single-block or nested plan."""
+    """fast._run for fast-prime: the output of a single-block or nested plan."""
     if isinstance(plan, FastPlan):
         return fast_execute(plan, data, tally)[4]
-    return fast_nested(plan, data, tally)
+    rows = good_thomas_rows(plan, data)
+    y = rows[:1] + rows[:0:-1]  # outer reversal alignment
+    *_, outs = block_schedule(plan.block, y, vectors(tally, fast_run))
+    return good_thomas_scatter(plan, outs)
 
 
-def fast_nested(plan, data, tally: OpTally) -> list:
-    """fast._run on a nested plan: the block schedule at length q over
-    length-m vectors of the Good-Thomas map, whose products are inner runs
-    and whose sums are elementwise."""
-    n, q = plan.length, len(plan.diff_weights)
+def good_thomas_rows(plan, data) -> list:
+    """fast._run's gather: the q rows of length m of a nested plan's map."""
+    n, q = plan.length, plan.block.length
     m = n // q
     zs = as_signal(data).samples
-    rows = [[zs[k] for k in plan.order[a * m:a * m + m]] for a in range(q)]
-    y = rows[:1] + rows[:0:-1]  # outer reversal alignment
-    *_, outs = block_schedule(
-        plan, y,
-        lambda u, v: [counted_add(a, b, tally) for a, b in zip(u, v)],
-        lambda u, v: [counted_sub(a, b, tally) for a, b in zip(u, v)],
-        lambda inner, v: fast_run(inner, v, tally))
-    out = [None] * n
-    for a, row in enumerate(outs):
+    return [[zs[k] for k in plan.order[a * m:a * m + m]] for a in range(q)]
+
+
+def good_thomas_scatter(plan, rows) -> list:
+    """fast._run's scatter, the inverse of good_thomas_rows."""
+    m = len(rows[0])
+    out = [None] * plan.length
+    for a, row in enumerate(rows):
         for c, value in enumerate(row):
             out[plan.order[a * m + c]] = value
     return out
 
 
-def poly_mul(a, b, tally: OpTally) -> list:
+def poly_mul(a, b, ring: Ring) -> list:
     """polycrt.poly_mul: schoolbook product seeded by each slot's first term."""
     out = [None] * (len(a) + len(b) - 1)
     for i, av in enumerate(a):
         for j, bv in enumerate(b):
-            term = counted_mul(av, bv, tally)
+            term = ring.mul(av, bv)
             k = i + j
-            out[k] = term if out[k] is None else counted_add(out[k], term, tally)
+            out[k] = term if out[k] is None else ring.add(out[k], term)
     return out
 
 
-def reduce_mod_all_ones(coeffs, n: int, tally: OpTally) -> list:
+def reduce_mod_all_ones(coeffs, n: int, ring: Ring) -> list:
     """polycrt._reduce_mod_all_ones: wrap exponents mod n, then eliminate
     the x^{n-1} term."""
     work = list(coeffs)
     for k in range(n, len(work)):
-        work[k - n] = counted_add(work[k - n], work[k], tally)
+        work[k - n] = ring.add(work[k - n], work[k])
     del work[n:]
     if len(work) == n:
         top = work[n - 1]
-        work = [counted_sub(work[j], top, tally) for j in range(n - 1)]
+        work = [ring.sub(work[j], top) for j in range(n - 1)]
     else:
         work = work + [0.0] * (n - 1 - len(work))
     return work
 
 
-def two_factor(kernel, data, tally: OpTally):
-    """polycrt.winograd_two_factor_convolution built from the loops above,
-    ending in the closed-form recombination f = r + ((v - r(1)) / n) * Phi."""
-    bs = as_signal(kernel).samples
-    zs = as_signal(data).samples
-    n = len(bs)
+def two_factor_block(plan, z, ring: Ring) -> list:
+    """TwoFactorPlan.run built from the loops above, ending in the
+    closed-form recombination f = r + ((v - r(1)) * (1/n)) * Phi."""
+    n = plan.length
+    data_total = z[0]
+    for value in z[1:]:
+        data_total = ring.add(data_total, value)
+    point_product = ring.mul(plan.kernel_total, data_total)
 
-    kernel_total = reduce(add, bs, 0)
-    data_total = zs[0]
-    for value in zs[1:]:
-        data_total = counted_add(data_total, value, tally)
-    point_product = counted_mul(kernel_total, data_total, tally)
-
-    kernel_residue = reduce_mod_all_ones(bs, n, OpTally())
-    data_residue = reduce_mod_all_ones(zs, n, tally)
-    product = poly_mul(kernel_residue, data_residue, tally)
-    residue = reduce_mod_all_ones(product, n, tally)
+    data_residue = reduce_mod_all_ones(z, n, ring)
+    product = poly_mul(plan.kernel_residue, data_residue, ring)
+    residue = reduce_mod_all_ones(product, n, ring)
 
     residue_at_one = residue[0]
     for value in residue[1:]:
-        residue_at_one = counted_add(residue_at_one, value, tally)
-    c = counted_mul(counted_sub(point_product, residue_at_one, tally), 1.0 / n, tally)
-    return [counted_add(r, c, tally) for r in residue] + [c]
+        residue_at_one = ring.add(residue_at_one, value)
+    c = ring.scale(ring.sub(point_product, residue_at_one), 1.0 / n)
+    return [ring.add(r, c) for r in residue] + [c]
+
+
+def two_factor(plan, data, tally: OpTally) -> list:
+    """fast._run for two-factor: one block, or, like fast_run, the block at
+    length q over the Good-Thomas rows (not aligned: the two-factor engine
+    reads data in natural order) with inner runs as products."""
+    if isinstance(plan, TwoFactorPlan):
+        return two_factor_block(plan, as_signal(data).samples, scalars(tally))
+    rows = good_thomas_rows(plan, data)
+    return good_thomas_scatter(plan, two_factor_block(plan.block, rows, vectors(tally, two_factor)))

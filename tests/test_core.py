@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +49,21 @@ def test_signal_rejects_empty_and_non_finite():
         Signal([math.inf])
     with pytest.raises(ValueError):
         Signal([complex(0.0, math.nan)])
+    with pytest.raises(ValueError, match=r"non-finite sample \(1\+nanj\)"):
+        Signal([1.0, 2j, complex(1.0, math.nan), math.inf])
+    with pytest.raises(ValueError, match="non-finite sample -inf"):
+        Signal([1, -math.inf])
+    with pytest.raises(OverflowError):
+        Signal([1.0, 10 ** 400])
+    with pytest.raises(TypeError):
+        Signal([1.0, "2"])
+    with pytest.raises(TypeError):
+        Signal([None])
+
+
+def test_signal_accepts_exact_scalars():
+    samples = (1, True, Fraction(1, 3), Decimal("2.5"), -0.0, complex(1.0, -2.0))
+    assert Signal(samples).samples == samples
 
 
 def test_signal_is_immutable():

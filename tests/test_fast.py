@@ -85,15 +85,15 @@ def test_plan_is_silent_when_every_block_is_prime(recwarn):
 
 def test_plan_nests_over_the_smallest_part():
     plan = plan_create([float(k) for k in range(498)])
-    assert isinstance(plan, NestedPlan)
-    assert (plan.length, len(plan.diff_weights)) == (498, 2)
+    assert isinstance(plan, NestedPlan) and isinstance(plan.block, FastPlan)
+    assert (plan.length, plan.block.length) == (498, 2)
     # Good-Thomas: order[a * m + c] = k with k = a (mod 2), k = c (mod 249).
     assert sorted(plan.order) == list(range(498))
     assert all(k % 2 == i // 249 and k % 249 == i % 249 for i, k in enumerate(plan.order))
-    inner = plan.kernel_mean
-    assert isinstance(inner, NestedPlan) and (inner.length, len(inner.diff_weights)) == (249, 3)
-    assert isinstance(inner.kernel_mean, FastPlan) and inner.kernel_mean.length == 83
-    assert len(plan.diff_weights) == 2 and len(inner.diff_weights) == 3
+    inner = plan.block.kernel_mean
+    assert isinstance(inner, NestedPlan) and (inner.length, inner.block.length) == (249, 3)
+    assert isinstance(inner.block.kernel_mean, FastPlan) and inner.block.kernel_mean.length == 83
+    assert len(plan.block.diff_weights) == 2 and len(inner.block.diff_weights) == 3
     assert isinstance(plan_create([1.0] * 8), FastPlan)
     assert isinstance(block_plan([1.0] * 6), FastPlan)
 

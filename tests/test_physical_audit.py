@@ -12,6 +12,7 @@ import pytest
 from helpers import bits, complex_samples, mixed_samples, real_samples, rng_for
 from primeconv.counting import OpTally
 from primeconv.fast import block_lengths, predicted_counts
+from primeconv.polycrt import two_factor_predicted_counts
 from primeconv.transforms import ConvolutionEngine
 
 SIZES = tuple(range(2, 40)) + (60, 97, 101, 210, 498, 499)
@@ -136,8 +137,8 @@ def run_counted(engine, n, make, index):
         (ConvolutionEngine.FAST_PRIME,
          lambda n: (predicted_counts(n)[0], predicted_counts(n)[1] + rebuild_adds(n))),
         # Two-factor: every operation is tallied, the closed-form
-        # recombination included.
-        (ConvolutionEngine.WINOGRAD_TWO_FACTOR, lambda n: ((n - 1) ** 2 + 2, n * n + 2 * n - 4)),
+        # recombination and, nested, the lane scalings by 1/q included.
+        (ConvolutionEngine.WINOGRAD_TWO_FACTOR, two_factor_predicted_counts),
     ],
     ids=["direct", "fast-prime", "two-factor"],
 )
