@@ -247,6 +247,7 @@ def cmd_bench(args) -> int:
     row_index = 0
     for n in sizes:
         direct_mults = n * n
+        size_rows = len(rows)
         for engine in engines:
             rng = substream(args.seed, row_index)
             row_index += 1
@@ -270,8 +271,12 @@ def cmd_bench(args) -> int:
                 "lower_bound": multiplication_lower_bound(n) if n >= 2 else "",
                 "lower_bound_gap": f"{predicted[0] / multiplication_lower_bound(n):.2f}" if n >= 2 else "",
             })
-    columns = ["n", "engine", "trials", "mean_ns", "min_ns", "mults",
-               "mult_ratio_vs_direct", "lower_bound", "lower_bound_gap"]
+        direct_ns = next((row["min_ns"] for row in rows[size_rows:]
+                          if row["engine"] == ConvolutionEngine.DIRECT.value), None)
+        for row in rows[size_rows:]:
+            row["time_ratio_vs_direct"] = f"{row['min_ns'] / direct_ns:.4f}" if direct_ns else ""
+    columns = ["n", "engine", "trials", "mean_ns", "min_ns", "mults", "mult_ratio_vs_direct",
+               "time_ratio_vs_direct", "lower_bound", "lower_bound_gap"]
     _emit(_format_rows(rows, columns, args.format), args.out)
     return 0
 

@@ -207,7 +207,7 @@ def _pair_rows(plan: FastPlan, y):
     """Rows of the strict upper triangle, built lazily one at a time.
 
     Serves ``trace_convolution`` only; the engine computes the same entries
-    inside its single pass over the pairs.  Row i holds
+    without holding the table.  Row i holds
     table[i][j] = w[(i + j) mod n] * (y[j] - y[i]) for j = i+1 .. n-1; the
     doubled weights turn (i + j) mod n into the slice w2[2i + 1 : i + n].
     """
@@ -230,14 +230,24 @@ def _execute(plan: FastPlan, y, tally: OpTally):
     tally.mults += 1
 
     # Signed fold over row i: -table[j][i] for j < i, then +table[i][j] for
-    # j > i, ascending j.  One pass visits each pair (i, j) once: it computes
-    # table[i][j], adds it to row i's accumulator and subtracts it from
-    # col[j], which holds -table[0][j] - ... - table[i][j] after row i.  So
-    # the table is never held, and row i starts from col[i], its finished
-    # column part.  Row 0 seeds its accumulator with its first entry and
-    # col by a sign flip (bookkeeping, not arithmetic).  Column n - 1 is the
-    # zero-sum correction below, so the j = n - 1 entry of each row has no
-    # column.
+    # j > i, ascending j.  Each pair (i, j) is visited once: table[i][j] is
+    # added to row i's accumulator and subtracted from col[j], which holds
+    # -table[0][j] - ... - table[i][j] after row i.  So the table is never
+    # held, and row i starts from col[i], its finished column part.  Row 0
+    # seeds its accumulator with its first entry and col by a sign flip
+    # (bookkeeping, not arithmetic).  Column n - 1 is the zero-sum correction
+    # below, so the j = n - 1 entry of each row has no column.
+    #
+    # Rows 1 .. n - 2 run in groups of four, a..d, so that four pairs share
+    # each load and store of col[j].  A group first takes its six in-group
+    # pairs, row by row, which finishes the column parts of b, c and d
+    # before those rows start from them.  One pass over j > d then forms
+    # the four terms of column j, adds each to its row's accumulator and
+    # subtracts them from col[j] in row order.  So every accumulator, row or
+    # column, takes the same operations in the same order as one row at a
+    # time would give it; only the order in which terms are formed changes,
+    # and on lane vectors each term is an independent inner run.  Fewer
+    # than four remaining rows run one at a time.
     w2 = plan.diff_weights * 2
     y0 = y[0]
     first = [wj * (yj - y0) for wj, yj in zip(w2[1:n], y[1:])]
@@ -246,15 +256,42 @@ def _execute(plan: FastPlan, y, tally: OpTally):
         acc += term
     sums = [acc]
     col = [None, *[-term for term in first[:-1]]]
-    for i in range(1, n - 1):
+    last = n - 1
+    y_last = y[last]
+    grouped = 1 + (n - 2) // 4 * 4  # rows 1 .. grouped - 1 run in fours
+    for a in range(1, grouped, 4):
+        b, c, d = a + 1, a + 2, a + 3
+        ya, yb, yc, yd = y[a:a + 4]
+        wa, wb, wc, wd = w2[a:a + n], w2[b:b + n], w2[c:c + n], w2[d:d + n]
+        ab, ac, ad = wa[b] * (yb - ya), wa[c] * (yc - ya), wa[d] * (yd - ya)
+        bc, bd = wb[c] * (yc - yb), wb[d] * (yd - yb)
+        cd = wc[d] * (yd - yc)
+        sa = col[a] + ab + ac + ad
+        sb = col[b] - ab + bc + bd
+        sc = col[c] - ac - bc + cd
+        sd = col[d] - ad - bd - cd
+        for j in range(d + 1, last):
+            yj = y[j]
+            ta = wa[j] * (yj - ya)
+            tb = wb[j] * (yj - yb)
+            tc = wc[j] * (yj - yc)
+            td = wd[j] * (yj - yd)
+            sa += ta
+            sb += tb
+            sc += tc
+            sd += td
+            col[j] = col[j] - ta - tb - tc - td
+        sums += (sa + wa[last] * (y_last - ya), sb + wb[last] * (y_last - yb),
+                 sc + wc[last] * (y_last - yc), sd + wd[last] * (y_last - yd))
+    for i in range(grouped, last):
         yi = y[i]
         wi = w2[i:i + n]  # wi[j] = w[(i + j) mod n]
         acc = col[i]
-        for j in range(i + 1, n - 1):
+        for j in range(i + 1, last):
             term = wi[j] * (y[j] - yi)
             acc += term
             col[j] -= term
-        sums.append(acc + wi[n - 1] * (y[n - 1] - yi))
+        sums.append(acc + wi[last] * (y_last - yi))
     pairs = n * (n - 1) // 2
     tally.adds += pairs + (n - 1) * (n - 2)
     tally.mults += pairs

@@ -222,6 +222,16 @@ def test_bench_small_run(capsys):
     assert fast_5["mult_ratio_vs_direct"] == "0.4400"
     assert fast_5["lower_bound"] == "8"
     assert int(fast_5["mean_ns"]) > 0
+    # Timing ratios are reported, never checked: only direct's own is fixed.
+    assert "time_ratio_vs_direct" in rows[0]
+    assert all(r["time_ratio_vs_direct"] == "1.0000" for r in rows if r["engine"] == "direct")
+    code, out, _ = run_cli(
+        capsys, "bench", "--sizes", "5", "--trials", "3", "--format", "csv",
+        "--engine", "fast-prime",
+    )
+    assert code == 0
+    (alone,) = csv.DictReader(io.StringIO(out))
+    assert alone["time_ratio_vs_direct"] == ""
 
 
 def test_bench_requires_three_trials(capsys):

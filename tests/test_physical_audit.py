@@ -15,7 +15,9 @@ from primeconv.fast import block_lengths, predicted_counts
 from primeconv.polycrt import two_factor_predicted_counts
 from primeconv.transforms import ConvolutionEngine
 
-SIZES = tuple(range(2, 40)) + (60, 97, 101, 210, 498, 499)
+# Sizes 2-39 cover every remainder of fast-prime's four-row groups on scalar
+# blocks; 77 = 7 * 11 and 143 = 11 * 13 run the groups on lane vectors.
+SIZES = tuple(range(2, 40)) + (60, 77, 97, 101, 143, 210, 498, 499)
 
 
 def rebuild_adds(n: int) -> int:
