@@ -41,23 +41,41 @@ def poly_mul(a, b, tally: OpTally | None = None) -> list:
 
     Counts are driven by the sequence lengths: len(a)*len(b)
     multiplications and (len(a)-1)*(len(b)-1) accumulating additions.
+    Both operands need at least one coefficient.
     """
+    la, lb = len(a), len(b)
+    if not la or not lb:
+        raise ValueError(f"poly_mul needs at least one coefficient in each operand, "
+                         f"got lengths {la} and {lb}")
     if tally is None:
         tally = OpTally()
-    # Slot k sums a[i] * b[k - i] in ascending i, seeded by its first
-    # product.  With rb = reversed b, rb[lb - 1 - k + i] == b[k - i], so slot
-    # k zips a slice of a against a slice of rb (zip stops at the shorter one).
-    rb = b[::-1]
-    la, lb = len(a), len(rb)
-    out = []
-    for k in range(la + lb - 1):
-        lo = max(0, k - lb + 1)
-        pairs = zip(a[lo:k + 1], rb[lb - 1 - k + lo:])
-        av, bv = next(pairs)
-        acc = av * bv
-        for av, bv in pairs:
-            acc += av * bv
-        out.append(acc)
+    # Row order: row i adds a[i] * b[k - i] to slots k = i .. i + lb - 1, so
+    # slot k sums its products in ascending i, seeded by its first one, with
+    # a on the left.  Rows run in groups of four, i..i+3: slots i, i+1 and
+    # i+2 take their one to three new products inline, one pass adds all
+    # four to each of slots i+3 .. i+lb-2, and the four new top slots are
+    # appended, each seeded by its first product.  Leftover rows, and every
+    # row when lb < 5, run one at a time.
+    out = [a[0] * bj for bj in b]
+    i = 1
+    if lb >= 5:
+        b0, b1, b2 = b[0], b[1], b[2]
+        e1, e2, e3, e4 = b[-1], b[-2], b[-3], b[-4]
+        b1s, b2s, b3s = b[1:], b[2:], b[3:]
+        while i + 3 < la:
+            ai, aj, ak, am = a[i:i + 4]
+            o0, o1, o2 = out[i:i + 3]
+            middle = [o + ai * x0 + aj * x1 + ak * x2 + am * x3
+                      for o, x0, x1, x2, x3 in zip(out[i + 3:], b3s, b2s, b1s, b)]
+            out[i:] = (o0 + ai * b0, o1 + ai * b1 + aj * b0, o2 + ai * b2 + aj * b1 + ak * b0)
+            out += middle
+            out += (ai * e1 + aj * e2 + ak * e3 + am * e4, aj * e1 + ak * e2 + am * e3,
+                    ak * e1 + am * e2, am * e1)
+            i += 4
+    for i in range(i, la):
+        ai = a[i]
+        out[i:] = [o + ai * bj for o, bj in zip(out[i:], b)]
+        out.append(ai * b[-1])
     tally.mults += la * lb
     tally.adds += (la - 1) * (lb - 1)
     return out

@@ -27,6 +27,16 @@ def test_poly_mul_counts():
     assert tally.counts == (4, 1)
 
 
+def test_poly_mul_rejects_empty_operands():
+    # An empty operand has no product to seed a slot with: it is refused,
+    # naming both lengths, before anything is charged.
+    for a, b in (([], []), ([], [1.0, 2.0]), ([1.0, 2.0], [])):
+        tally = OpTally()
+        with pytest.raises(ValueError, match=f"lengths {len(a)} and {len(b)}"):
+            poly_mul(a, b, tally)
+        assert tally.counts == (0, 0)
+
+
 def test_poly_mul_count_formula():
     rng = rng_for(30)
     for la in range(1, 7):

@@ -93,13 +93,22 @@ def test_fast_trace_matches_reference_intermediates(make):
 
 
 def coefficient_pairs(make, index: int):
-    """Operand pairs of every length combination up to 12, plus zero operands."""
+    """Operand pairs of every length combination up to 12, plus longer
+    unequal pairs and zero operands.
+
+    poly_mul runs rows 1 .. la - 1 in groups of four when lb >= 5 and one
+    at a time otherwise: lengths up to 12 reach every remainder of that
+    grouping and the lb < 5 path; the longer pairs run several full groups.
+    """
     rng = rng_for(index)
     for la in range(1, 13):
         for lb in range(1, 13):
             yield make(rng, la), make(rng, lb)
     yield make(rng, 5), signed_zeros(7, 0)
     yield signed_zeros(4, 1), signed_zeros(6, 2)
+    for la, lb in ((13, 5), (5, 13), (21, 9), (9, 21), (22, 22)):
+        yield make(rng, la), make(rng, lb)
+    yield make(rng, 9), signed_zeros(10, 3)
 
 
 @MAKERS
