@@ -33,9 +33,12 @@ Multiplications multiply across levels, so 498 = 2 * 3 * 83 costs
 prime power is a single block.  A block that is a composite prime power
 (4, 8, 9, ...) stays exact but draws an advisory warning.
 
-The nesting here (``NestedPlan``, ``nest``, the lane vectors and ``_run``)
-knows nothing of the block schedule it nests: a block plan carries its own
-``run``.  The two-factor engine in ``polycrt`` nests through it too.
+The nesting here (``NestedPlan``, ``nest`` and the lane vectors) knows
+nothing of the block schedule it nests: every plan, block or nested,
+carries its ``length`` and its own ``run``, and ``NestedPlan.run`` runs
+its block on lane vectors.  The two-factor engine in ``polycrt`` nests
+through it too, and both engines build plans through ``_kernel_blocks`` and
+run them through ``_run_plan``.
 """
 
 import warnings
@@ -100,6 +103,24 @@ class NestedPlan(NamedTuple):
     order: tuple
     block: "FastPlan | polycrt.TwoFactorPlan"
 
+    def run(self, y, tally: OpTally) -> list:
+        """The output on data ``y``, aligned as its engine expects."""
+        # Good-Thomas rows of y are the outer block's ring elements; for
+        # fast-prime, reversal on Z_n reverses both coordinates, so rows
+        # gathered from aligned y are aligned outer elements of aligned
+        # vectors.  An outer add is m adds; an outer product is an inner run
+        # and a scaling is m mults, both charged to the tally as they happen.
+        n, block = self.length, self.block
+        m = n // block.length
+        flat = [y[k] for k in self.order]
+        ring = OpTally()
+        outs = block.run([_Lanes(flat[c:c + m], tally) for c in range(0, n, m)], ring)
+        tally.adds += ring.adds * m
+        out = [None] * n
+        for k, value in zip(self.order, chain.from_iterable(v.lanes for v in outs)):
+            out[k] = value
+        return out
+
 
 def block_lengths(n: int) -> tuple[int, ...]:
     """The coprime prime-power parts of n >= 2, ascending."""
@@ -114,7 +135,18 @@ def block_lengths(n: int) -> tuple[int, ...]:
 
 def _require_length(n: int) -> None:
     if n < 2:
-        raise ValueError(f"the reduced-multiplication engine needs length >= 2, got {n}")
+        raise ValueError(f"need length >= 2, got {n}")
+
+
+def _kernel_blocks(kernel) -> tuple[tuple, tuple[int, ...]]:
+    """The samples of a kernel of length n >= 2 and the coprime prime-power
+    parts of n, ascending: what ``nest`` builds a plan from."""
+    b = as_signal(kernel).samples
+    n = len(b)
+    _require_length(n)
+    if is_prime(n):  # one block, without factoring n: the common case
+        return b, (n,)
+    return b, block_lengths(n)
 
 
 def nest(b: tuple, blocks: tuple, build):
@@ -160,22 +192,17 @@ def plan_create(kernel) -> "FastPlan | NestedPlan":
     All arithmetic here depends on the kernel only, so it is precomputation
     and contributes nothing to execution tallies.
     """
-    b = as_signal(kernel)
-    n = len(b)
-    _require_length(n)
-    if is_prime(n):  # one block, without factoring n: the common case
-        return _block(b.samples)
-    blocks = block_lengths(n)
+    b, blocks = _kernel_blocks(kernel)
     composite = [q for q in blocks if not is_prime(q)]
     if composite:
         warnings.warn(
-            f"length {n} runs a block of composite length "
+            f"length {len(b)} runs a block of composite length "
             f"{', '.join(map(str, composite))}; results stay exact, but "
             "specialized prime-power schedules need fewer multiplications",
             CompositeLengthWarning,
             stacklevel=2,
         )
-    return nest(b.samples, blocks, _block)
+    return nest(b, blocks, _block)
 
 
 def block_plan(kernel) -> FastPlan:
@@ -341,29 +368,17 @@ class _Lanes:
         return _Lanes([value / scale for value in self.lanes], self.tally)
 
     def __rmul__(self, plan):
-        return _Lanes(_run(plan, self.lanes, self.tally), self.tally)
+        return _Lanes(plan.run(self.lanes, self.tally), self.tally)
 
 
-def _run(plan, y, tally: OpTally) -> list:
-    """The output of ``plan`` on data ``y`` (aligned as its engine expects),
-    as a list."""
-    if not isinstance(plan, NestedPlan):
-        return plan.run(y, tally)
-    # Good-Thomas rows of y are the outer block's ring elements; for
-    # fast-prime, reversal on Z_n reverses both coordinates, so rows gathered
-    # from aligned y are aligned outer elements of aligned vectors.  An outer
-    # add is m adds; an outer product is an inner run and a scaling is m
-    # mults, both charged to the tally as they happen.
-    n, block = plan.length, plan.block
-    m = n // block.length
-    flat = [y[k] for k in plan.order]
-    ring = OpTally()
-    outs = block.run([_Lanes(flat[c:c + m], tally) for c in range(0, n, m)], ring)
-    tally.adds += ring.adds * m
-    out = [None] * n
-    for k, value in zip(plan.order, chain.from_iterable(v.lanes for v in outs)):
-        out[k] = value
-    return out
+def _run_plan(plan, y, tally: OpTally | None) -> Signal:
+    """The output of ``plan`` on data samples ``y``, aligned as its engine
+    expects, charged to ``tally`` (a fresh one when None)."""
+    if len(y) != plan.length:
+        raise ValueError(f"plan length {plan.length} does not match data length {len(y)}")
+    if tally is None:
+        tally = OpTally()
+    return Signal(plan.run(y, tally))
 
 
 def fast_cyclic_convolution(plan: "FastPlan | NestedPlan", data,
@@ -374,12 +389,7 @@ def fast_cyclic_convolution(plan: "FastPlan | NestedPlan", data,
     M(n) = n(n-1)/2 + 1 multiplications and A(n) = 3n(n-1)/2 + 1 additions,
     and nesting q over m gives M(q)M(m) and A(q)m + M(q)A(m).
     """
-    z = as_signal(data)
-    if len(z) != plan.length:
-        raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
-    if tally is None:
-        tally = OpTally()
-    return Signal(_run(plan, reverse_permute(z), tally))
+    return _run_plan(plan, reverse_permute(data), tally)
 
 
 def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
@@ -411,6 +421,7 @@ def nested_counts(n: int, block_counts) -> tuple[int, int]:
     become m lane mults, and its additions, which become m lane adds.  So
     M(q x m) = P(q)M(m) + S(q)m and A(q x m) = A(q)m + P(q)A(m).
     """
+    _require_length(n)
     *outer, m = block_lengths(n)
     products, scalings, adds = block_counts(m)
     mults = products + scalings
@@ -431,7 +442,6 @@ def predicted_counts(n: int) -> tuple[int, int]:
     A block of length q costs M(q) = q(q-1)/2 + 1 and A(q) = 3q(q-1)/2 + 1;
     nesting q over m costs M(q)M(m) and A(q)m + M(q)A(m).
     """
-    _require_length(n)
     return nested_counts(n, _block_counts)
 
 

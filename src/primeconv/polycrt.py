@@ -17,7 +17,7 @@ so f[k] = r[k] + c below the top and f[n-1] = c.  That is 2n - 2
 additions and one multiplication, all on data and all tallied.
 
 That is one block, used as is at prime-power lengths.  Other lengths nest
-like fast-prime, through the same ``fast.nest`` and ``fast._run``
+like fast-prime, through the same ``fast.nest`` and ``NestedPlan.run``
 (Agarwal and Cooley, IEEE TASSP 1977): the block runs at the smallest
 prime-power part q over length-m lane vectors of the Good-Thomas map, each
 of its (q-1)^2 + 1 products is an inner run, and its scaling by 1/q is m
@@ -31,8 +31,8 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .counting import OpTally, Scalar
-from .core import Signal, as_signal, is_prime
-from .fast import NestedPlan, _run, block_lengths, nest, nested_counts
+from .core import Signal, as_signal
+from .fast import NestedPlan, _kernel_blocks, _require_length, _run_plan, nest, nested_counts
 
 
 def poly_mul(a, b, tally: OpTally | None = None) -> list:
@@ -86,8 +86,7 @@ def poly_mul(a, b, tally: OpTally | None = None) -> list:
 def two_factor_system(n: int) -> float:
     """The one per-length constant of the two-factor engine: 1/n, the
     inverse of the all-ones factor's value at x = 1."""
-    if n < 2:
-        raise ValueError(f"need length >= 2, got {n}")
+    _require_length(n)
     return 1.0 / n
 
 
@@ -171,13 +170,7 @@ def two_factor_plan(kernel) -> "TwoFactorPlan | NestedPlan":
     All arithmetic here depends on the kernel only, so it is precomputation
     and contributes nothing to execution tallies.
     """
-    b = as_signal(kernel)
-    n = len(b)
-    if n < 2:
-        raise ValueError(f"need length >= 2, got {n}")
-    if is_prime(n):  # one block, without factoring n: the common case
-        return _block(b.samples)
-    return nest(b.samples, block_lengths(n), _block)
+    return nest(*_kernel_blocks(kernel), _block)
 
 
 def winograd_two_factor_convolution(plan: "TwoFactorPlan | NestedPlan", data,
@@ -196,12 +189,7 @@ def winograd_two_factor_convolution(plan: "TwoFactorPlan | NestedPlan", data,
     the case the method is published for: there x^{n-1} + ... + 1 is
     irreducible over the rationals, so no finer split exists.
     """
-    z = as_signal(data)
-    if len(z) != plan.length:
-        raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
-    if tally is None:
-        tally = OpTally()
-    return Signal(_run(plan, z.samples, tally))
+    return _run_plan(plan, as_signal(data).samples, tally)
 
 
 def _block_counts(q: int) -> tuple[int, int, int]:
@@ -215,6 +203,4 @@ def two_factor_predicted_counts(n: int) -> tuple[int, int]:
     One block costs ((n-1)^2 + 2, n^2 + 2n - 4).  Nesting q over m costs
     M(q x m) = ((q-1)^2 + 1)M(m) + m and A(q x m) = A(q)m + ((q-1)^2 + 1)A(m).
     """
-    if n < 2:
-        raise ValueError(f"need length >= 2, got {n}")
     return nested_counts(n, _block_counts)

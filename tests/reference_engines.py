@@ -130,7 +130,8 @@ def fast_execute(plan, data, tally: OpTally):
 
 
 def fast_run(plan, data, tally: OpTally) -> list:
-    """fast._run for fast-prime: the output of a single-block or nested plan."""
+    """FastPlan.run or NestedPlan.run for fast-prime: the output of a
+    single-block or nested plan."""
     if isinstance(plan, FastPlan):
         return fast_execute(plan, data, tally)[4]
     rows = good_thomas_rows(plan, data)
@@ -140,7 +141,7 @@ def fast_run(plan, data, tally: OpTally) -> list:
 
 
 def good_thomas_rows(plan, data) -> list:
-    """fast._run's gather: the q rows of length m of a nested plan's map."""
+    """NestedPlan.run's gather: the q rows of length m of a nested plan's map."""
     n, q = plan.length, plan.block.length
     m = n // q
     zs = as_signal(data).samples
@@ -148,7 +149,7 @@ def good_thomas_rows(plan, data) -> list:
 
 
 def good_thomas_scatter(plan, rows) -> list:
-    """fast._run's scatter, the inverse of good_thomas_rows."""
+    """NestedPlan.run's scatter, the inverse of good_thomas_rows."""
     m = len(rows[0])
     out = [None] * plan.length
     for a, row in enumerate(rows):
@@ -204,9 +205,10 @@ def two_factor_block(plan, z, ring: Ring) -> list:
 
 
 def two_factor(plan, data, tally: OpTally) -> list:
-    """fast._run for two-factor: one block, or, like fast_run, the block at
-    length q over the Good-Thomas rows (not aligned: the two-factor engine
-    reads data in natural order) with inner runs as products."""
+    """TwoFactorPlan.run or NestedPlan.run for two-factor: one block, or,
+    like fast_run, the block at length q over the Good-Thomas rows (not
+    aligned: the two-factor engine reads data in natural order) with inner
+    runs as products."""
     if isinstance(plan, TwoFactorPlan):
         return two_factor_block(plan, as_signal(data).samples, scalars(tally))
     rows = good_thomas_rows(plan, data)

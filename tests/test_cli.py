@@ -176,6 +176,17 @@ def test_verify_inject_fault_fails(capsys):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 30])
+def test_verify_inject_fault_fails_at_each_size(capsys, n):
+    # One size per run: in a sweep, a fault missed at one size is hidden by
+    # the sizes that catch it.
+    code, out, _ = run_cli(
+        capsys, "verify", "--sizes", str(n), "--trials", "2", "--inject-fault"
+    )
+    assert code == 1, out
+    assert "result: FAIL" in out
+
+
 def test_verify_zero_tolerance_fails(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--sizes", "2-6", "--trials", "2", "--tol", "0"
