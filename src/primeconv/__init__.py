@@ -22,7 +22,6 @@ from .core import (
     reverse_permute,
 )
 from .fast import (
-    CompositeLengthWarning,
     ConvolutionTrace,
     FastPlan,
     NestedPlan,
@@ -58,7 +57,6 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompositeLengthWarning",
     "ConvolutionEngine",
     "ConvolutionTrace",
     "DftPlan",

@@ -30,8 +30,8 @@ additions act lane by lane and each of its multiplications is a run of an
 inner plan, built the same way from a length-m kernel vector.
 Multiplications multiply across levels, so 498 = 2 * 3 * 83 costs
 2 * 4 * 3404 = 27,232 of them against 123,754 for one block of 498.  A
-prime power is a single block.  A block that is a composite prime power
-(4, 8, 9, ...) stays exact but draws an advisory warning.
+prime power, composite ones such as 4, 8 or 9 included, runs as one
+block, exact like every other.
 
 The nesting here (``NestedPlan``, ``nest`` and the lane vectors) knows
 nothing of the block schedule it nests: every plan, block or nested,
@@ -41,7 +41,6 @@ through it too, and both engines build plans through ``_kernel_blocks`` and
 run them through ``_run_plan``.
 """
 
-import warnings
 from functools import reduce
 from itertools import chain
 from operator import add, neg, sub
@@ -52,10 +51,8 @@ from .core import Signal, as_signal, is_prime, prime_factors, reverse_permute
 
 
 class CompositeLengthWarning(UserWarning):
-    """Advisory: the length has a block that is a composite prime power.
-
-    The engine stays correct, but prime powers such as 4, 8 or 9 admit
-    specialized schedules with fewer multiplications than one block.
+    """Never raised: a composite prime-power part (4, 8, 9, ...) runs as
+    one exact block.  Kept so that code which filters it still finds it.
     """
 
 
@@ -187,22 +184,13 @@ def _block(b: tuple) -> FastPlan:
 
 def plan_create(kernel) -> "FastPlan | NestedPlan":
     """Build the plan for a kernel of length n >= 2: one block when n is a
-    prime power, nested over its prime-power parts otherwise.
+    prime power (4, 8, 9, ... included), nested over its prime-power parts
+    otherwise.
 
     All arithmetic here depends on the kernel only, so it is precomputation
     and contributes nothing to execution tallies.
     """
-    b, blocks = _kernel_blocks(kernel)
-    composite = [q for q in blocks if not is_prime(q)]
-    if composite:
-        warnings.warn(
-            f"length {len(b)} runs a block of composite length "
-            f"{', '.join(map(str, composite))}; results stay exact, but "
-            "specialized prime-power schedules need fewer multiplications",
-            CompositeLengthWarning,
-            stacklevel=2,
-        )
-    return nest(b, blocks, _block)
+    return nest(*_kernel_blocks(kernel), _block)
 
 
 def block_plan(kernel) -> FastPlan:
@@ -217,31 +205,15 @@ class ConvolutionTrace(NamedTuple):
     """Intermediate values of one single-block run, for verification tooling.
 
     Fields mirror the execution: ``aligned`` is the reversal-aligned data,
-    ``base`` the rank-one term, ``pair_table`` the strict upper triangle of
-    weighted differences (row i holds entries for j = i+1 .. n-1),
-    ``component_sums`` the correction vector whose entries sum to zero
-    exactly as computed, and ``output`` the convolution result.
+    ``base`` the rank-one term, ``component_sums`` the correction vector
+    whose entries sum to zero exactly as computed, and ``output`` the
+    convolution result.
     """
 
     aligned: tuple
     base: Scalar
-    pair_table: tuple
     component_sums: tuple
     output: Signal
-
-
-def _pair_rows(plan: FastPlan, y):
-    """Rows of the strict upper triangle, built lazily one at a time.
-
-    Serves ``trace_convolution`` only; the engine computes the same entries
-    without holding the table.  Row i holds
-    table[i][j] = w[(i + j) mod n] * (y[j] - y[i]) for j = i+1 .. n-1; the
-    doubled weights turn (i + j) mod n into the slice w2[2i + 1 : i + n].
-    """
-    n = plan.length
-    w2 = plan.diff_weights * 2
-    return ([wk * (yj - yi) for wk, yj in zip(w2[2 * i + 1:i + n], y[i + 1:])]
-            for i, yi in enumerate(y[:n - 1]))
 
 
 def _execute(plan: FastPlan, y, tally: OpTally):
@@ -405,7 +377,6 @@ def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
     return ConvolutionTrace(
         aligned=y,
         base=base,
-        pair_table=tuple(tuple(row) for row in _pair_rows(plan, y)),
         component_sums=tuple(sums),
         output=Signal(out),
     )

@@ -8,7 +8,6 @@ kernel), and linear convolution by cyclic zero padding.
 
 import cmath
 import math
-import warnings
 from enum import Enum
 from functools import lru_cache, reduce
 from operator import add
@@ -24,7 +23,7 @@ from .core import (
     next_prime,
     prime_factors,
 )
-from .fast import CompositeLengthWarning, fast_cyclic_convolution, plan_create
+from .fast import fast_cyclic_convolution, plan_create
 from .fast import predicted_counts as fast_predicted_counts
 from .polycrt import (
     two_factor_plan,
@@ -167,9 +166,8 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     cyclic convolution of the permuted input with the twiddle kernel.
     Any engine works: p - 1 is composite for p >= 5, which every engine
     accepts.  Fast-prime and two-factor nest over the prime-power parts of
-    p - 1 (498 = 2 * 3 * 83 at p = 499); fast-prime's advisory for a
-    composite prime-power part (4 in 12 = 3 * 4, at p = 13) is silenced
-    here.
+    p - 1 (498 = 2 * 3 * 83 at p = 499), and a part that is a composite
+    prime power (4 in 12 = 3 * 4, at p = 13) runs as one block.
     """
     x = as_signal(data)
     p = plan.length
@@ -178,10 +176,7 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     xs = x.samples
     zero_bin = complex(reduce(add, xs, 0))
     permuted = Signal(xs[idx] for idx in plan.input_order)
-    with warnings.catch_warnings():
-        # p - 1 may have a part such as 4 or 8; expected here, not advisory-worthy.
-        warnings.simplefilter("ignore", CompositeLengthWarning)
-        conv = cyclic_convolution(plan.kernel, permuted, engine)
+    conv = cyclic_convolution(plan.kernel, permuted, engine)
     out = [complex(0.0, 0.0)] * p
     out[0] = zero_bin
     first = xs[0]

@@ -6,8 +6,8 @@ explicit matrix, the seed-column matrix behind the identity decomposition,
 and the plain cyclic matrix form of convolution.
 """
 
-import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from operator import add
 from random import Random
@@ -19,11 +19,9 @@ from .core import (
     reverse_permute,
 )
 from .counting import OpTally
-from .fast import CompositeLengthWarning, block_plan, trace_convolution
+from .fast import block_plan, trace_convolution
 from .polycrt import _reduce_mod_all_ones, two_factor_recombine
 from .transforms import ConvolutionEngine, cyclic_convolution, dft_plan, naive_dft, rader_dft
-
-RANK_PIVOT_TOL = 1e-9
 
 
 def substream(seed: int, index: int) -> Random:
@@ -75,27 +73,25 @@ def cyclic_matrix(kernel) -> list:
     return [[b[(r + c) % n] for c in range(n)] for r in range(n)]
 
 
-def matrix_rank(matrix, pivot_tol: float = RANK_PIVOT_TOL) -> int:
-    """Gaussian elimination with partial pivoting; pivots below pivot_tol
-    are treated as zero."""
-    work = [list(row) for row in matrix]
+def matrix_rank(matrix) -> int:
+    """Exact rank by Gaussian elimination over the rationals: every entry
+    converts to a Fraction without rounding, and any nonzero is a pivot."""
+    work = [[Fraction(value) for value in row] for row in matrix]
     rows = len(work)
     cols = len(work[0])
     rank = 0
-    pivot_row = 0
     for col in range(cols):
-        best = max(range(pivot_row, rows), key=lambda r: abs(work[r][col]), default=None)
-        if best is None or abs(work[best][col]) <= pivot_tol:
+        best = next((r for r in range(rank, rows) if work[r][col] != 0), None)
+        if best is None:
             continue
-        work[pivot_row], work[best] = work[best], work[pivot_row]
-        pivot = work[pivot_row][col]
-        for r in range(pivot_row + 1, rows):
+        work[rank], work[best] = work[best], work[rank]
+        pivot = work[rank][col]
+        for r in range(rank + 1, rows):
             factor = work[r][col] / pivot
             for c in range(col, cols):
-                work[r][c] -= factor * work[pivot_row][c]
-        pivot_row += 1
+                work[r][c] -= factor * work[rank][c]
         rank += 1
-        if pivot_row == rows:
+        if rank == rows:
             break
     return rank
 
@@ -335,20 +331,16 @@ def run_suites(sizes, trials: int, seed: int, tolerance: float | None = None,
     def tol(default: float) -> float:
         return default if tolerance is None else tolerance
 
-    with warnings.catch_warnings():
-        # Composite sizes are deliberately part of the sweep here; the
-        # advisory is for interactive callers, not for the suites.
-        warnings.simplefilter("ignore", CompositeLengthWarning)
-        return [
-            _equivalence_suite("oracle-equivalence-real", sizes, trials, seed, 1,
-                               tol(1e-10), inject_fault, complex_data=False),
-            _equivalence_suite("oracle-equivalence-complex", sizes, trials, seed, 2,
-                               tol(1e-9), inject_fault, complex_data=True),
-            _count_suite(sizes, seed, 3),
-            _antisymmetry_suite(seed, 4, tol(1e-12)),
-            _component_sum_suite(seed, 5, tol(1e-10)),
-            _identity_suite(tol(1e-12)),
-            _rank_suite(tol(1e-12)),
-            _crt_suite(seed, 6, tol(1e-9)),
-            _rader_suite(seed, 7, max(1, trials // 2), tol(1e-9)),
-        ]
+    return [
+        _equivalence_suite("oracle-equivalence-real", sizes, trials, seed, 1,
+                           tol(1e-10), inject_fault, complex_data=False),
+        _equivalence_suite("oracle-equivalence-complex", sizes, trials, seed, 2,
+                           tol(1e-9), inject_fault, complex_data=True),
+        _count_suite(sizes, seed, 3),
+        _antisymmetry_suite(seed, 4, tol(1e-12)),
+        _component_sum_suite(seed, 5, tol(1e-10)),
+        _identity_suite(tol(1e-12)),
+        _rank_suite(tol(1e-12)),
+        _crt_suite(seed, 6, tol(1e-9)),
+        _rader_suite(seed, 7, max(1, trials // 2), tol(1e-9)),
+    ]

