@@ -38,7 +38,6 @@ from .polycrt import (
     poly_mul,
     two_factor_plan,
     two_factor_predicted_counts,
-    two_factor_system,
     winograd_two_factor_convolution,
 )
 from .transforms import (
@@ -93,6 +92,5 @@ __all__ = [
     "trace_convolution",
     "two_factor_plan",
     "two_factor_predicted_counts",
-    "two_factor_system",
     "winograd_two_factor_convolution",
 ]

@@ -188,8 +188,11 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
 def padded_length(n: int, padding: str = "prime") -> int:
     """Cyclic length used to embed a length-n linear convolution.
 
-    "prime" picks the smallest prime >= 2n - 1 (so the fast engine runs in
-    its best-understood regime); "double" pads to exactly 2n.
+    "prime" picks the smallest prime >= 2n - 1; "double" pads to exactly 2n.
+    Since composite lengths nest, "prime" can cost far more multiplications:
+    for n = 250, "prime" gives 499, where fast-prime takes 124,252 and
+    two-factor 248,006, while "double" gives 500, where they take 54,257
+    and 153,905 (by their predicted counts).
     """
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")

@@ -50,19 +50,26 @@ def seed_vector(n: int) -> list:
     return [1.0 - n] + [1.0] * (n - 1)
 
 
+def _dot(u, v):
+    return reduce(add, (a * b for a, b in zip(u, v)), 0)
+
+
 def mat_vec(matrix, vector) -> list:
-    return [reduce(add, (row[c] * vector[c] for c in range(len(vector))), 0) for row in matrix]
+    return [_dot(row, vector) for row in matrix]
+
+
+def _shift_powers(vector):
+    """Yield shift^i @ vector for i = 0 .. len(vector) - 1, each from the last."""
+    shift = shift_matrix(len(vector))
+    yield vector
+    for _ in range(len(vector) - 1):
+        vector = mat_vec(shift, vector)
+        yield vector
 
 
 def seed_column_matrix(n: int) -> list:
     """Matrix whose column i is the shift operator applied i times to the seed."""
-    shift = shift_matrix(n)
-    columns = []
-    col = seed_vector(n)
-    for i in range(n):
-        if i:
-            col = mat_vec(shift, col)
-        columns.append(col)
+    columns = list(_shift_powers(seed_vector(n)))
     return [[columns[c][r] for c in range(n)] for r in range(n)]
 
 
@@ -116,14 +123,7 @@ def explicit_plan_weights(kernel) -> tuple:
     """
     b = as_signal(kernel).samples
     n = len(b)
-    shift = shift_matrix(n)
-    col = seed_vector(n)
-    weights = []
-    for i in range(n):
-        if i:
-            col = mat_vec(shift, col)
-        weights.append(reduce(add, (bv * cv for bv, cv in zip(b, col)), 0) / n)
-    return tuple(weights)
+    return tuple(_dot(b, col) / n for col in _shift_powers(seed_vector(n)))
 
 
 def correction_oracle(kernel, data) -> tuple:
@@ -135,14 +135,7 @@ def correction_oracle(kernel, data) -> tuple:
     b = as_signal(kernel).samples
     n = len(b)
     y = list(reverse_permute(data))
-    shift = shift_matrix(n)
-    vec = mat_vec(seed_column_matrix(n), y)
-    out = []
-    for i in range(n):
-        if i:
-            vec = mat_vec(shift, vec)
-        out.append(reduce(add, (bv * vv for bv, vv in zip(b, vec)), 0) / n)
-    return tuple(out)
+    return tuple(_dot(b, vec) / n for vec in _shift_powers(mat_vec(seed_column_matrix(n), y)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +228,7 @@ def _component_sum_suite(seed, stream_index, tol):
         if reduce(add, trace.component_sums, 0) != 0.0:
             exact_failures += 1
         oracle = correction_oracle(kernel, data)
-        scale = max(1.0, max(abs(v) for v in oracle))
-        worst = max(
-            worst,
-            max(abs(a - b) for a, b in zip(trace.component_sums, oracle)) / scale,
-        )
+        worst = max(worst, max_relative_error(trace.component_sums, oracle))
     return SuiteResult(
         name="component-sums-zero",
         passed=exact_failures == 0 and worst <= tol,
@@ -283,8 +272,7 @@ def _crt_suite(seed, stream_index, tol):
         for _ in range(10):
             target = real_vector(rng, p)
             rebuilt = two_factor_recombine(reduce(add, target, 0), _reduce_mod_all_ones(target, p))
-            scale = max(1.0, max(abs(c) for c in target))
-            worst = max(worst, max(abs(a - b) for a, b in zip(rebuilt, target)) / scale)
+            worst = max(worst, max_relative_error(rebuilt, target))
     return SuiteResult(
         name="crt-round-trip",
         passed=worst <= tol,
@@ -327,6 +315,8 @@ def run_suites(sizes, trials: int, seed: int, tolerance: float | None = None,
     for n in sizes:
         if n < 2:
             raise ValueError(f"verification sizes must be >= 2, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
     def tol(default: float) -> float:
         return default if tolerance is None else tolerance

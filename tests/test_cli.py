@@ -5,7 +5,7 @@ import json
 import pytest
 
 from primeconv.cli import main
-from primeconv.transforms import naive_dft
+from primeconv.transforms import ConvolutionEngine, naive_dft
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +147,13 @@ def test_size_one_with_fast_engine_exit_2(capsys):
     assert "length >= 2" in err
 
 
+def test_table_rejects_zero_trials(capsys):
+    code, out, err = run_cli(capsys, "table", "--sizes", "3", "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "primeconv: error: --trials must be >= 1, got 0\n"
+
+
 # --- verify ---------------------------------------------------------------------
 
 def test_verify_passes(capsys):
@@ -213,6 +220,16 @@ def test_verify_out_file_still_prints_summary(tmp_path, capsys):
     assert "oracle-equivalence-real" in target.read_text()
 
 
+def test_verify_rejects_zero_trials_even_with_injected_fault(capsys):
+    # Zero trials would compare nothing and report the fault as PASS.
+    code, out, err = run_cli(
+        capsys, "verify", "--sizes", "5", "--trials", "0", "--inject-fault"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "primeconv: error: trials must be >= 1, got 0\n"
+
+
 def test_verify_rejects_size_below_two(capsys):
     code, _, err = run_cli(capsys, "verify", "--sizes", "1-4")
     assert code == 2
@@ -243,6 +260,15 @@ def test_bench_small_run(capsys):
     assert code == 0
     (alone,) = csv.DictReader(io.StringIO(out))
     assert alone["time_ratio_vs_direct"] == ""
+
+
+def test_bench_checks_the_count_model(capsys, monkeypatch):
+    def wrong_model(engine, n):
+        return (0, 0)
+
+    monkeypatch.setattr(ConvolutionEngine, "predicted_counts", wrong_model)
+    with pytest.raises(RuntimeError, match="count model out of sync for direct at n=5"):
+        run_cli(capsys, "bench", "--sizes", "5", "--trials", "3", "--engine", "direct")
 
 
 def test_bench_requires_three_trials(capsys):
@@ -341,6 +367,15 @@ def test_convolve_parse_error_names_line(tmp_path, capsys):
     assert ":2:" in err
 
 
+def test_convolve_library_error_exit_2(tmp_path, capsys):
+    data = tmp_path / "one.txt"
+    write_samples(data, [1.0])
+    code, out, err = run_cli(capsys, "convolve", str(data), str(data), "--engine", "fast-prime")
+    assert code == 2
+    assert out == ""
+    assert err == "primeconv: error: need length >= 2, got 1\n"
+
+
 def test_convolve_missing_file(tmp_path, capsys):
     kernel = tmp_path / "kernel.txt"
     write_samples(kernel, [1.0])
@@ -391,7 +426,7 @@ def test_dft_composite_length_exit_2(tmp_path, capsys):
     write_samples(data, [1.0] * 6)
     code, _, err = run_cli(capsys, "dft", str(data))
     assert code == 2
-    assert "prime" in err
+    assert err == "primeconv: error: need a prime p >= 3, got 6\n"
 
 
 def test_dft_engine_choice(tmp_path, capsys):
