@@ -33,12 +33,12 @@ Multiplications multiply across levels, so 498 = 2 * 3 * 83 costs
 prime power, composite ones such as 4, 8 or 9 included, runs as one
 block, exact like every other.
 
-The nesting here (``NestedPlan``, ``nest`` and the lane vectors) knows
-nothing of the block schedule it nests: every plan, block or nested,
-carries its ``length`` and its own ``run``, and ``NestedPlan.run`` runs
-its block on lane vectors.  The two-factor engine in ``polycrt`` nests
-through it too, and both engines build plans through ``_kernel_blocks`` and
-run them through ``_run_plan``.
+The nesting here (``NestedPlan``, ``nest`` and the lane vectors) is
+engine-agnostic: every plan, block or nested, has a ``length`` and a
+``run`` on natural-order samples, each block aligns its own input, and
+``NestedPlan.run`` only gathers Good-Thomas rows, runs its block on them
+and scatters.  Two-factor (``polycrt``) nests through it too; both engines
+build plans through ``_kernel_blocks`` and run them through ``_run_plan``.
 """
 
 from functools import reduce
@@ -73,19 +73,20 @@ class FastPlan(NamedTuple):
 
     diff_weights: tuple
     kernel_mean: Scalar
+    engine = "fast-prime"
 
     @property
     def length(self) -> int:
         return len(self.diff_weights)
 
-    def run(self, y, tally: OpTally) -> list:
-        """The block's output on aligned data ``y``."""
-        return _execute(self, y, tally)[2]
+    def run(self, z, tally: OpTally) -> list:
+        """The block's output on natural-order data ``z``, which it aligns."""
+        return _execute(self, z[:1] + z[:0:-1], tally)[2]
 
 
 class NestedPlan(NamedTuple):
     """Precomputed kernel data for a length n = q * m with coprime q and m,
-    shared by the engines that nest.
+    for the block plan of any engine.
 
     Attributes:
         length: signal length n.
@@ -100,20 +101,16 @@ class NestedPlan(NamedTuple):
     order: tuple
     block: "FastPlan | polycrt.TwoFactorPlan"
 
-    def run(self, y, tally: OpTally) -> list:
-        """The output on data ``y``, aligned as its engine expects."""
-        # Good-Thomas rows of y are the outer block's ring elements; for
-        # fast-prime, reversal on Z_n reverses both coordinates, so rows
-        # gathered from aligned y are aligned outer elements of aligned
-        # vectors.  An outer add is m adds; an outer product is an inner run
-        # and a scaling is m mults, both charged to the tally as they happen.
-        n, block = self.length, self.block
-        m = n // block.length
-        flat = [y[k] for k in self.order]
+    engine = property(lambda self: self.block.engine)
+
+    def run(self, z, tally: OpTally) -> list:
+        """Gather the Good-Thomas rows of natural-order ``z``, run any engine's block, scatter."""
+        # An outer add is m lane adds; inner runs and lane scalings charge themselves.
+        m = self.length // self.block.length
         ring = OpTally()
-        outs = block.run([_Lanes(flat[c:c + m], tally) for c in range(0, n, m)], ring)
+        outs = self.block.run(_lane_rows(z, self.order, m, tally), ring)
         tally.adds += ring.adds * m
-        out = [None] * n
+        out = [None] * self.length
         for k, value in zip(self.order, chain.from_iterable(v.lanes for v in outs)):
             out[k] = value
         return out
@@ -164,9 +161,7 @@ def nest(b: tuple, blocks: tuple, build):
     order = [0] * n
     for k in range(n):
         order[k % q * m + k % m] = k
-    flat = [b[k] for k in order]
-    scratch = OpTally()
-    outer = build(tuple(_Lanes(flat[c:c + m], scratch) for c in range(0, n, m)))
+    outer = build(_lane_rows(b, order, m, OpTally()))
 
     def inner_plan(vector):
         return nest(tuple(vector.lanes), inner, build)
@@ -196,9 +191,7 @@ def plan_create(kernel) -> "FastPlan | NestedPlan":
 def block_plan(kernel) -> FastPlan:
     """Build a single-block plan for a kernel of length n >= 2, whatever
     the factors of n; the pair-table tooling is defined on these."""
-    b = as_signal(kernel)
-    _require_length(len(b))
-    return _block(b.samples)
+    return _block(_kernel_blocks(kernel)[0])
 
 
 class ConvolutionTrace(NamedTuple):
@@ -306,6 +299,12 @@ def _execute(plan: FastPlan, y, tally: OpTally):
     return base, sums, out
 
 
+def _lane_rows(values, order, m: int, tally: OpTally) -> tuple:
+    """The Good-Thomas rows of ``values``: ``values`` read in ``order``, cut into lanes of m."""
+    flat = [values[k] for k in order]
+    return tuple(_Lanes(flat[c:c + m], tally) for c in range(0, len(flat), m))
+
+
 class _Lanes:
     """A length-m vector, one ring element of a nested plan's outer block.
     ``+``, ``-`` and ``0 + v`` act lane by lane and return a new vector (the
@@ -343,14 +342,23 @@ class _Lanes:
         return _Lanes(plan.run(self.lanes, self.tally), self.tally)
 
 
-def _run_plan(plan, y, tally: OpTally | None) -> Signal:
-    """The output of ``plan`` on data samples ``y``, aligned as its engine
-    expects, charged to ``tally`` (a fresh one when None)."""
-    if len(y) != plan.length:
-        raise ValueError(f"plan length {plan.length} does not match data length {len(y)}")
-    if tally is None:
-        tally = OpTally()
-    return Signal(plan.run(y, tally))
+def _checked(plan, data) -> Signal:
+    z = as_signal(data)
+    if len(z) != plan.length:
+        raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
+    return z
+
+
+def _run_plan(plan, data, tally: OpTally | None) -> Signal:
+    """Every plan's one checked entry: its output on natural-order ``data``, which
+    each block aligns itself, charged to ``tally`` (a fresh one when None)."""
+    z = _checked(plan, data).samples
+    out = plan.run(z, OpTally() if tally is None else tally)
+    try:
+        return Signal(out)
+    except ValueError as err:
+        raise ValueError(f"the {plan.engine} engine overflowed at n = {len(z)}: the input "
+                         f"was finite, but the result has a {err}") from None
 
 
 def fast_cyclic_convolution(plan: "FastPlan | NestedPlan", data,
@@ -361,7 +369,7 @@ def fast_cyclic_convolution(plan: "FastPlan | NestedPlan", data,
     M(n) = n(n-1)/2 + 1 multiplications and A(n) = 3n(n-1)/2 + 1 additions,
     and nesting q over m gives M(q)M(m) and A(q)m + M(q)A(m).
     """
-    return _run_plan(plan, reverse_permute(data), tally)
+    return _run_plan(plan, data, tally)
 
 
 def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
@@ -369,17 +377,9 @@ def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
     if not isinstance(plan, FastPlan):
         raise ValueError(f"trace_convolution needs a single-block plan; the length-"
                          f"{plan.length} plan is nested (build one with block_plan)")
-    z = as_signal(data)
-    if len(z) != plan.length:
-        raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
-    y = reverse_permute(z)
+    y = reverse_permute(_checked(plan, data))
     base, sums, out = _execute(plan, y, OpTally())
-    return ConvolutionTrace(
-        aligned=y,
-        base=base,
-        component_sums=tuple(sums),
-        output=Signal(out),
-    )
+    return ConvolutionTrace(y, base, tuple(sums), Signal(out))
 
 
 def nested_counts(n: int, block_counts) -> tuple[int, int]:

@@ -16,22 +16,22 @@ residue r mod Phi (degree at most n - 2) and a point value v at x = 1,
 so f[k] = r[k] + c below the top and f[n-1] = c.  That is 2n - 2
 additions and one multiplication, all on data and all tallied.
 
-That is one block, used as is at prime-power lengths.  Other lengths nest
-like fast-prime, through the same ``fast.nest`` and ``NestedPlan.run``
-(Agarwal and Cooley, IEEE TASSP 1977): the block runs at the smallest
-prime-power part q over length-m lane vectors of the Good-Thomas map, each
-of its (q-1)^2 + 1 products is an inner run, and its scaling by 1/q is m
-lane mults.  At 498 = 2 * 3 * 83 that is 67,675 mults against 247,011 for
-one block.
+That is one block, used as is at prime-power lengths; like every block it
+reads natural-order samples, and it needs no alignment.  Other lengths nest
+through the engine-agnostic ``fast.nest`` (Agarwal and Cooley, 1977): the
+block runs at the smallest prime-power part q over length-m lane vectors
+of the Good-Thomas map, each of its (q-1)^2 + 1 products is an inner run,
+and its scaling by 1/q is m lane mults.  At 498 = 2 * 3 * 83 that is
+67,675 mults against 247,011 for one block.
 """
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import repeat
 from operator import add, sub
 from typing import NamedTuple
 
 from .counting import OpTally, Scalar
-from .core import Signal, as_signal
+from .core import Signal
 from .fast import NestedPlan, _kernel_blocks, _require_length, _run_plan, nest, nested_counts
 
 
@@ -81,8 +81,6 @@ def poly_mul(a, b, tally: OpTally | None = None) -> list:
     return out
 
 
-# A cached function, not a constant expression: perfbench/run.py reads its cache_info.
-@lru_cache(maxsize=None)
 def two_factor_system(n: int) -> float:
     """The one per-length constant of the two-factor engine: 1/n, the
     inverse of the all-ones factor's value at x = 1."""
@@ -139,6 +137,7 @@ class TwoFactorPlan(NamedTuple):
 
     kernel_total: Scalar
     kernel_residue: tuple
+    engine = "winograd-two-factor"
 
     @property
     def length(self) -> int:
@@ -189,7 +188,7 @@ def winograd_two_factor_convolution(plan: "TwoFactorPlan | NestedPlan", data,
     the case the method is published for: there x^{n-1} + ... + 1 is
     irreducible over the rationals, so no finer split exists.
     """
-    return _run_plan(plan, as_signal(data).samples, tally)
+    return _run_plan(plan, data, tally)
 
 
 def _block_counts(q: int) -> tuple[int, int, int]:

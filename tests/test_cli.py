@@ -376,6 +376,18 @@ def test_convolve_library_error_exit_2(tmp_path, capsys):
     assert err == "primeconv: error: need length >= 2, got 1\n"
 
 
+def test_convolve_overflow_exit_2(tmp_path, capsys):
+    kernel, data = tmp_path / "kernel.txt", tmp_path / "data.txt"
+    write_samples(kernel, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    write_samples(data, [1e308, -1e308] * 3)
+    code, out, err = run_cli(capsys, "convolve", str(kernel), str(data),
+                             "--engine", "winograd-two-factor")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("primeconv: error: the winograd-two-factor engine overflowed at n = 6: "
+                          "the input was finite")
+
+
 def test_convolve_missing_file(tmp_path, capsys):
     kernel = tmp_path / "kernel.txt"
     write_samples(kernel, [1.0])

@@ -1,6 +1,7 @@
 import warnings
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 import pytest
 
@@ -14,6 +15,7 @@ from primeconv.fast import (
     block_plan,
     fast_cyclic_convolution,
     multiplication_lower_bound,
+    nest,
     plan_create,
     predicted_counts,
     trace_convolution,
@@ -102,6 +104,44 @@ def test_plan_nests_over_the_smallest_part():
     assert len(plan.block.diff_weights) == 2 and len(inner.block.diff_weights) == 3
     assert isinstance(plan_create([1.0] * 8), FastPlan)
     assert isinstance(block_plan([1.0] * 6), FastPlan)
+
+
+class Schoolbook(NamedTuple):
+    """A block type the nesting has never seen: the defining double loop on
+    natural-order ring elements, charging the direct count to ``tally``."""
+
+    kernel: tuple
+
+    @property
+    def length(self) -> int:
+        return len(self.kernel)
+
+    def run(self, z, tally: OpTally) -> list:
+        n = self.length
+        out = []
+        for p in range(n):
+            acc = self.kernel[0] * z[p]
+            for l in range(1, n):
+                acc = acc + self.kernel[l] * z[p - l]
+            out.append(acc)
+        tally.mults += n * n
+        tally.adds += n * (n - 1)
+        return out
+
+
+def test_nest_runs_any_block_that_reads_natural_order():
+    # nest and NestedPlan.run know only length and run: a schoolbook block
+    # nested over the Good-Thomas map is a length-n cyclic convolution with
+    # the direct count, n*n products and n*(n-1) additions.
+    rng = rng_for(16)
+    for n in (6, 12, 20, 30, 60, 72):
+        kernel, data = real_samples(rng, n), real_samples(rng, n)
+        plan = nest(tuple(kernel), block_lengths(n), Schoolbook)
+        assert isinstance(plan, NestedPlan) and isinstance(plan.block, Schoolbook)
+        tally = OpTally()
+        got = plan.run(data, tally)
+        assert max_relative_error(got, direct_cyclic_convolution(kernel, data)) < 1e-14, n
+        assert tally.counts == (n * n, n * (n - 1)), n
 
 
 # --- engine output ----------------------------------------------------------

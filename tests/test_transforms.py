@@ -77,6 +77,22 @@ def test_default_engine_is_direct():
     assert tally.counts == (9, 6)
 
 
+@pytest.mark.parametrize("n", [5, 6], ids=["one-block", "nested"])
+@pytest.mark.parametrize("engine", [ConvolutionEngine.FAST_PRIME,
+                                    ConvolutionEngine.WINOGRAD_TWO_FACTOR],
+                         ids=["fast-prime", "two-factor"])
+def test_overflow_names_the_engine_and_length(engine, n):
+    # Finite input whose sums overflow: direct is exact, the reduced engines
+    # are not, and they say so instead of naming a sample of their own.
+    kernel = [1.0] + [0.0] * (n - 1)
+    data = [1e308 if k % 2 == 0 else -1e308 for k in range(n)]
+    assert cyclic_convolution(kernel, data) == data
+    with pytest.raises(ValueError, match=rf"^the {engine.value} engine overflowed at "
+                                         rf"n = {n}: the input was finite, but the result "
+                                         rf"has a non-finite sample (inf|nan)$"):
+        cyclic_convolution(kernel, data, engine)
+
+
 # --- naive DFT oracle -----------------------------------------------------------
 
 def test_naive_dft_delta_is_flat():
