@@ -113,8 +113,8 @@ def _load_signal(path: str) -> Signal:
 
 def _render_samples(signal: Signal) -> str:
     if signal.is_complex:
-        return "\n".join(f"{complex(v).real!r} {complex(v).imag!r}" for v in signal)
-    return "\n".join(f"{v!r}" for v in signal)
+        return "\n".join(f"{v.real!r} {v.imag!r}" for v in map(complex, signal.samples))
+    return "\n".join(map(repr, signal.samples))
 
 
 def _format_rows(rows, columns, fmt: str) -> str:

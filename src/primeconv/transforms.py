@@ -159,6 +159,17 @@ def dft_plan(p: int) -> DftPlan:
     return DftPlan(p, g, tuple(input_order), tuple(output_order), kernel)
 
 
+@lru_cache(maxsize=None)
+def _rader_runner(kernel: Signal, engine: ConvolutionEngine):
+    """``engine.prepare(kernel)``, once per (twiddle kernel, engine) per process.
+
+    Keyed by value, so the equal kernels of two ``dft_plan(p)`` calls share
+    one runner.  The runner looks the engine function up when called, so
+    replacing ``transforms.<name>`` still reaches every later DFT.
+    """
+    return engine.prepare(kernel)
+
+
 def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine.DIRECT) -> Signal:
     """DFT of prime length p through one (p-1)-point cyclic convolution.
 
@@ -167,21 +178,20 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     Any engine works: p - 1 is composite for p >= 5, which every engine
     accepts.  Fast-prime and two-factor nest over the prime-power parts of
     p - 1 (498 = 2 * 3 * 83 at p = 499), and a part that is a composite
-    prime power (4 in 12 = 3 * 4, at p = 13) runs as one block.
+    prime power (4 in 12 = 3 * 4, at p = 13) runs as one block.  The
+    engine's prepared twiddle kernel is built once per (p, engine) per
+    process and kept, unbounded like ``_unit_roots``, at O(p) per entry.
     """
     x = as_signal(data)
     p = plan.length
     if len(x) != p:
         raise ValueError(f"plan length {p} does not match data length {len(x)}")
     xs = x.samples
-    zero_bin = complex(reduce(add, xs, 0))
-    permuted = Signal(xs[idx] for idx in plan.input_order)
-    conv = cyclic_convolution(plan.kernel, permuted, engine)
-    out = [complex(0.0, 0.0)] * p
-    out[0] = zero_bin
+    conv = _rader_runner(plan.kernel, engine)([xs[idx] for idx in plan.input_order])
+    out = [complex(reduce(add, xs, 0))] * p  # X[0]; the scatter fills bins 1 .. p-1
     first = xs[0]
-    for l, bin_index in enumerate(plan.output_order):
-        out[bin_index] = first + conv[l]
+    for bin_index, value in zip(plan.output_order, conv.samples):
+        out[bin_index] = first + value
     return Signal(out)
 
 

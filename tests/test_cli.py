@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from primeconv.cli import main
+from helpers import complex_samples, rng_for
+from primeconv.cli import build_parser, main
 from primeconv.transforms import ConvolutionEngine, naive_dft
 
 
@@ -453,3 +454,61 @@ def test_dft_engine_choice(tmp_path, capsys):
     want = list(naive_dft(samples))
     for got in outputs:
         assert got == pytest.approx(want, abs=1e-9)
+
+
+# p = 5 with every sample but x[0] a signed zero: each bin is x[0] exactly,
+# whatever the platform's twiddles, and the engines differ only in the signs
+# of the zero imaginary parts.
+DFT_ZERO_IMAG_SIGNS = {
+    "direct": ("0.0", "0.0", "0.0", "-0.0", "0.0"),
+    "fast-prime": ("0.0", "-0.0", "-0.0", "0.0", "-0.0"),
+    "winograd-two-factor": ("0.0", "0.0", "0.0", "0.0", "0.0"),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(DFT_ZERO_IMAG_SIGNS))
+def test_dft_out_file_bytes(tmp_path, capsys, engine):
+    real = tmp_path / "real.txt"
+    real.write_text("2.0\n-0.0\n0.0\n-0.0\n0.0\n")
+    mixed = tmp_path / "complex.txt"
+    mixed.write_text("-1.5 -0.0\n-0.0 0.0\n0.0 -0.0\n-0.0 -0.0\n0.0 0.0\n")
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, "dft", str(real), "--engine", engine, "--out", str(target))[0] == 0
+    assert target.read_bytes() == b"2.0 0.0\n" * 5
+    assert run_cli(capsys, "dft", str(mixed), "--engine", engine, "--out", str(target))[0] == 0
+    want = "".join(f"-1.5 {imag}\n" for imag in DFT_ZERO_IMAG_SIGNS[engine])
+    assert target.read_bytes() == want.encode()
+
+
+def test_repeated_dft_calls_write_identical_files(cold_rader_runners, tmp_path, capsys):
+    # The first call per engine builds the runner; the second reuses it.
+    data = tmp_path / "data.txt"
+    write_samples(data, complex_samples(rng_for(60), 29))
+    for engine in ("direct", "fast-prime", "winograd-two-factor"):
+        written = []
+        for call in range(2):
+            target = tmp_path / f"{engine}-{call}.txt"
+            code, out, _ = run_cli(capsys, "dft", str(data), "--engine", engine,
+                                   "--out", str(target))
+            assert (code, out) == (0, "")
+            written.append(target.read_bytes())
+        assert written[0] == written[1], engine
+
+
+def test_bad_argv_after_a_good_call_exits_2_with_the_same_message(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    write_samples(data, [1.0, 2.0, 3.0])
+    composite = tmp_path / "composite.txt"
+    write_samples(composite, [1.0] * 6)
+    bad = ["dft", str(data), "--engine", "fft"]
+    with pytest.raises(SystemExit) as fresh:
+        build_parser().parse_args(bad)  # a parser no call has used
+    fresh_err = capsys.readouterr().err
+    for _ in range(2):
+        assert run_cli(capsys, "dft", str(data))[0] == 0
+        with pytest.raises(SystemExit) as again:
+            main(bad)
+        assert again.value.code == fresh.value.code == 2
+        assert capsys.readouterr().err == fresh_err
+        assert run_cli(capsys, "dft", str(composite)) == (
+            2, "", "primeconv: error: need a prime p >= 3, got 6\n")

@@ -6,6 +6,10 @@ bytes for a fixed seed on every supported Python.  The files under
 is meant to alter a report, and say why in the change log.  Only stdout is
 compared; a composite prime-power part (4 in 12) runs as one block, and
 neither report writes a warning.
+
+``convolve_cyclic.txt`` holds what ``convolve`` prints for the inputs
+under ``tests/golden/convolve/``, per engine.  Convolution is pure IEEE
+arithmetic, so these bits, signed zeros included, are the same everywhere.
 """
 
 import os
@@ -14,6 +18,8 @@ import sys
 from pathlib import Path
 
 import primeconv
+from primeconv.cli import main
+from primeconv.transforms import ConvolutionEngine
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = {
@@ -34,3 +40,17 @@ def test_reports_match_golden_bytes():
                              capture_output=True, timeout=600, env=env)
         assert run.returncode == 0, (name, run.stderr.decode())
         assert run.stdout == (GOLDEN / name).read_bytes(), name
+
+
+def test_convolve_out_files_match_golden_bytes(tmp_path):
+    # CI builds the same file from stdout, one "# engine kind" line per run.
+    inputs = GOLDEN / "convolve"
+    written = []
+    for engine in ConvolutionEngine:
+        for kind in ("real", "complex", "zero"):
+            target = tmp_path / f"{engine.value}-{kind}.txt"
+            assert main(["convolve", str(inputs / f"{kind}_data.txt"),
+                         str(inputs / f"{kind}_kernel.txt"), "--engine", engine.value,
+                         "--out", str(target)]) == 0
+            written.append(f"# {engine.value} {kind}\n".encode() + target.read_bytes())
+    assert b"".join(written) == (GOLDEN / "convolve_cyclic.txt").read_bytes()

@@ -7,6 +7,7 @@ from operator import add
 import pytest
 
 from helpers import bits, complex_samples, real_samples, rng_for
+from primeconv import transforms
 from primeconv.cli import main as cli_main
 from primeconv.core import Signal, direct_cyclic_convolution, is_prime, max_relative_error
 from primeconv.counting import OpTally
@@ -223,6 +224,47 @@ def test_sample_sums_are_left_folds_on_every_python():
     assert fold.hex() == (0.0).hex()
     assert bits([rader_dft(dft_plan(3), xs)[0]]) == bits([complex(fold)])
     assert plan_create(xs).kernel_mean.hex() == (fold / 3).hex()
+
+
+def test_rader_builds_each_engine_plan_once_per_prime(cold_rader_runners, monkeypatch):
+    built = []
+    for name in ("plan_create", "two_factor_plan"):
+        def counted(kernel, _name=name, _build=getattr(transforms, name)):
+            built.append(_name)
+            return _build(kernel)
+        monkeypatch.setattr(transforms, name, counted)
+    rng = rng_for(47)
+    for _ in range(3):
+        data = complex_samples(rng, 31)
+        want = naive_dft(data)
+        for engine in ALL_ENGINES:
+            assert max_relative_error(rader_dft(dft_plan(31), data, engine), want) < 1e-9
+    # Each dft_plan(31) is a new plan; its equal kernel finds the kept runner.
+    assert built == ["plan_create", "two_factor_plan"]
+
+
+@pytest.mark.parametrize("engine, name", [
+    (ConvolutionEngine.DIRECT, "direct_cyclic_convolution"),
+    (ConvolutionEngine.FAST_PRIME, "fast_cyclic_convolution"),
+    (ConvolutionEngine.WINOGRAD_TWO_FACTOR, "winograd_two_factor_convolution"),
+], ids=["direct", "fast-prime", "two-factor"])
+def test_engine_replaced_after_a_first_dft_reaches_the_next(cold_rader_runners, monkeypatch,
+                                                            engine, name):
+    # ConvolutionEngine looks its runners up when called, so a kept Rader
+    # runner still reaches a replacement made after it was built.
+    data = complex_samples(rng_for(48), 13)
+    plan = dft_plan(13)
+    first = rader_dft(plan, data, engine)
+    calls = []
+    original = getattr(transforms, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(transforms, name, spy)
+    assert bits(rader_dft(plan, data, engine)) == bits(first)
+    assert len(calls) == 1
 
 
 def test_rader_length_mismatch():
