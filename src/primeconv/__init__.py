@@ -19,20 +19,15 @@ from .core import (
     max_relative_error,
     next_prime,
     prime_factors,
-    reverse_permute,
 )
 from .fast import (
-    ConvolutionTrace,
     FastPlan,
-    NestedPlan,
-    block_lengths,
-    block_plan,
     fast_cyclic_convolution,
     multiplication_lower_bound,
     plan_create,
     predicted_counts,
-    trace_convolution,
 )
+from .nesting import NestedPlan, block_lengths
 from .polycrt import (
     TwoFactorPlan,
     poly_mul,
@@ -57,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvolutionEngine",
-    "ConvolutionTrace",
     "DftPlan",
     "FastPlan",
     "NestedPlan",
@@ -68,7 +62,6 @@ __all__ = [
     "__version__",
     "as_signal",
     "block_lengths",
-    "block_plan",
     "cyclic_convolution",
     "dft_plan",
     "direct_cyclic_convolution",
@@ -87,9 +80,7 @@ __all__ = [
     "predicted_counts",
     "prime_factors",
     "rader_dft",
-    "reverse_permute",
     "schoolbook_linear_convolution",
-    "trace_convolution",
     "two_factor_plan",
     "two_factor_predicted_counts",
     "winograd_two_factor_convolution",

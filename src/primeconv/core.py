@@ -1,4 +1,4 @@
-"""Signals, cyclic index maps, and the quadratic-time convolution oracle.
+"""Signals, primes, and the quadratic-time convolution oracle.
 
 Conventions used throughout the package: signals are zero-indexed, cyclic
 indices are reduced mod n, and the cyclic product of kernel ``b`` with data
@@ -112,17 +112,6 @@ def prime_factors(n: int) -> tuple[int, ...]:
     if remaining > 1:
         factors.append(remaining)
     return tuple(factors)
-
-
-def reverse_permute(signal) -> tuple:
-    """Reversal alignment: out[0] = in[0], out[k] = in[n - k].
-
-    The map is its own inverse.  It is pure index shuffling, so it never
-    contributes to an operation tally, and it returns a plain tuple: a
-    permutation cannot make a checked sample non-finite.
-    """
-    z = as_signal(signal).samples
-    return z[:1] + z[:0:-1]
 
 
 def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Signal:

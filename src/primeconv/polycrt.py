@@ -18,7 +18,7 @@ additions and one multiplication, all on data and all tallied.
 
 That is one block, used as is at prime-power lengths; like every block it
 reads natural-order samples, and it needs no alignment.  Other lengths nest
-through the engine-agnostic ``fast.nest`` (Agarwal and Cooley, 1977): the
+through the engine-agnostic ``nesting.nest`` (Agarwal and Cooley, 1977): the
 block runs at the smallest prime-power part q over length-m lane vectors
 of the Good-Thomas map, each of its (q-1)^2 + 1 products is an inner run,
 and its scaling by 1/q is m lane mults.  At 498 = 2 * 3 * 83 that is
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .counting import OpTally, Scalar
 from .core import Signal
-from .fast import NestedPlan, _kernel_blocks, _require_length, _run_plan, nest, nested_counts
+from .nesting import NestedPlan, kernel_blocks, nest, nested_counts, require_length, run_plan
 
 
 def poly_mul(a, b, tally: OpTally | None = None) -> list:
@@ -84,7 +84,7 @@ def poly_mul(a, b, tally: OpTally | None = None) -> list:
 def two_factor_system(n: int) -> float:
     """The one per-length constant of the two-factor engine: 1/n, the
     inverse of the all-ones factor's value at x = 1."""
-    _require_length(n)
+    require_length(n)
     return 1.0 / n
 
 
@@ -169,7 +169,7 @@ def two_factor_plan(kernel) -> "TwoFactorPlan | NestedPlan":
     All arithmetic here depends on the kernel only, so it is precomputation
     and contributes nothing to execution tallies.
     """
-    return nest(*_kernel_blocks(kernel), _block)
+    return nest(*kernel_blocks(kernel), _block)
 
 
 def winograd_two_factor_convolution(plan: "TwoFactorPlan | NestedPlan", data,
@@ -188,7 +188,7 @@ def winograd_two_factor_convolution(plan: "TwoFactorPlan | NestedPlan", data,
     the case the method is published for: there x^{n-1} + ... + 1 is
     irreducible over the rationals, so no finer split exists.
     """
-    return _run_plan(plan, data, tally)
+    return run_plan(plan, data, tally)
 
 
 def _block_counts(q: int) -> tuple[int, int, int]:

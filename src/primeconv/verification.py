@@ -1,4 +1,5 @@
-"""Materialized-matrix oracles and the suites behind ``primeconv verify``.
+"""Materialized-matrix oracles, single-block traces and the suites behind
+``primeconv verify``.
 
 Production code never builds these matrices; they exist so the optimized
 paths can be checked against first principles: the shift operator as an
@@ -6,20 +7,18 @@ explicit matrix, the seed-column matrix behind the identity decomposition,
 and the plain cyclic matrix form of convolution.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
 from random import Random
+from typing import NamedTuple
 
-from .core import (
-    as_signal,
-    direct_cyclic_convolution,
-    max_relative_error,
-    reverse_permute,
-)
-from .counting import OpTally
-from .fast import block_plan, trace_convolution
+from .core import Signal, as_signal, direct_cyclic_convolution, max_relative_error
+from .counting import OpTally, Scalar
+from .fast import FastPlan, _block, _execute
+from .nesting import kernel_blocks
 from .polycrt import _reduce_mod_all_ones, two_factor_recombine
 from .transforms import ConvolutionEngine, cyclic_convolution, dft_plan, naive_dft, rader_dft
 
@@ -35,6 +34,54 @@ def real_vector(rng: Random, n: int) -> list:
 
 def complex_vector(rng: Random, n: int) -> list:
     return [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Single-block traces.
+
+def reverse_permute(signal) -> tuple:
+    """Reversal alignment: out[0] = in[0], out[k] = in[n - k].
+
+    The map is its own inverse.  It is pure index shuffling, so it never
+    contributes to an operation tally, and it returns a plain tuple: a
+    permutation cannot make a checked sample non-finite.
+    """
+    z = as_signal(signal).samples
+    return z[:1] + z[:0:-1]
+
+
+def block_plan(kernel) -> FastPlan:
+    """Build a single-block fast-prime plan for a kernel of length n >= 2,
+    whatever the factors of n; the pair-table tooling is defined on these."""
+    return _block(kernel_blocks(kernel)[0])
+
+
+class ConvolutionTrace(NamedTuple):
+    """Intermediate values of one single-block run.
+
+    Fields mirror the execution: ``aligned`` is the reversal-aligned data,
+    ``base`` the rank-one term, ``component_sums`` the correction vector
+    whose entries sum to zero exactly as computed, and ``output`` the
+    convolution result.
+    """
+
+    aligned: tuple
+    base: Scalar
+    component_sums: tuple
+    output: Signal
+
+
+def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
+    """Run a single-block plan and expose its intermediates (plain mode)."""
+    if not isinstance(plan, FastPlan):
+        raise ValueError(f"trace_convolution needs a single-block plan; the length-"
+                         f"{plan.length} plan is nested (build one with block_plan)")
+    z = as_signal(data)
+    if len(z) != plan.length:
+        raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
+    y = reverse_permute(z)
+    base, sums, out = _execute(plan, y, OpTally())
+    return ConvolutionTrace(y, base, tuple(sums), Signal(out))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +364,8 @@ def run_suites(sizes, trials: int, seed: int, tolerance: float | None = None,
             raise ValueError(f"verification sizes must be >= 2, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
 
     def tol(default: float) -> float:
         return default if tolerance is None else tolerance

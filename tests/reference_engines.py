@@ -12,10 +12,11 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from primeconv.core import as_signal, reverse_permute
+from primeconv.core import as_signal
 from primeconv.counting import OpTally, Scalar
 from primeconv.fast import FastPlan
 from primeconv.polycrt import TwoFactorPlan
+from primeconv.verification import reverse_permute
 
 
 def counted_mul(a: Scalar, b: Scalar, tally: OpTally) -> Scalar:

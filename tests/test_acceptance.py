@@ -22,12 +22,10 @@ from primeconv.core import (
 )
 from primeconv.counting import OpTally
 from primeconv.fast import (
-    block_plan,
     fast_cyclic_convolution,
     multiplication_lower_bound,
     plan_create,
     predicted_counts,
-    trace_convolution,
 )
 from primeconv.polycrt import two_factor_plan, winograd_two_factor_convolution
 from primeconv.transforms import (
@@ -39,9 +37,11 @@ from primeconv.transforms import (
     schoolbook_linear_convolution,
 )
 from primeconv.verification import (
+    block_plan,
     identity_decomposition_residual,
     matrix_rank,
     seed_column_matrix,
+    trace_convolution,
 )
 
 REFERENCE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)

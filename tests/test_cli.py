@@ -210,6 +210,16 @@ def test_verify_loose_tolerance_passes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_rejects_tolerance_that_is_not_finite_and_non_negative(capsys, tol):
+    # NaN or a negative bound fails every suite and blames the engines;
+    # inf passes every suite.  Both are usage errors.
+    code, out, err = run_cli(capsys, "verify", "--sizes", "5", "--trials", "2", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err == f"primeconv: error: tolerance must be finite and >= 0, got {float(tol)}\n"
+
+
 def test_verify_out_file_still_prints_summary(tmp_path, capsys):
     target = tmp_path / "verify.csv"
     code, out, _ = run_cli(

@@ -14,10 +14,9 @@ from primeconv.core import (
     max_relative_error,
     next_prime,
     prime_factors,
-    reverse_permute,
 )
 from primeconv.counting import OpTally
-from primeconv.verification import cyclic_matrix, mat_vec, matrix_rank
+from primeconv.verification import cyclic_matrix, mat_vec, matrix_rank, reverse_permute
 
 
 # --- Signal -----------------------------------------------------------------

@@ -10,18 +10,19 @@ from primeconv.core import direct_cyclic_convolution, max_relative_error
 from primeconv.counting import OpTally
 from primeconv.fast import (
     FastPlan,
-    NestedPlan,
-    block_lengths,
-    block_plan,
     fast_cyclic_convolution,
     multiplication_lower_bound,
-    nest,
     plan_create,
     predicted_counts,
+)
+from primeconv.nesting import NestedPlan, block_lengths, nest
+from primeconv.transforms import ConvolutionEngine, cyclic_convolution
+from primeconv.verification import (
+    block_plan,
+    correction_oracle,
+    explicit_plan_weights,
     trace_convolution,
 )
-from primeconv.transforms import ConvolutionEngine, cyclic_convolution
-from primeconv.verification import correction_oracle, explicit_plan_weights
 
 
 # --- plans ------------------------------------------------------------------
@@ -329,3 +330,8 @@ def test_output_equals_base_minus_components():
 def test_trace_rejects_nested_plan():
     with pytest.raises(ValueError, match="length-6 plan is nested"):
         trace_convolution(plan_create([1.0] * 6), [1.0] * 6)
+
+
+def test_trace_rejects_data_of_another_length():
+    with pytest.raises(ValueError, match="plan length 5 does not match data length 4"):
+        trace_convolution(block_plan([1.0] * 5), [1.0] * 4)

@@ -11,7 +11,8 @@ import pytest
 
 from helpers import bits, complex_samples, mixed_samples, real_samples, rng_for
 from primeconv.counting import OpTally
-from primeconv.fast import block_lengths, predicted_counts
+from primeconv.fast import predicted_counts
+from primeconv.nesting import block_lengths
 from primeconv.polycrt import two_factor_predicted_counts
 from primeconv.transforms import ConvolutionEngine
 

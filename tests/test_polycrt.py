@@ -3,7 +3,8 @@ import pytest
 from helpers import real_samples, rng_for
 from primeconv.core import direct_cyclic_convolution, max_relative_error
 from primeconv.counting import OpTally
-from primeconv.fast import NestedPlan, block_lengths, multiplication_lower_bound, predicted_counts
+from primeconv.fast import multiplication_lower_bound, predicted_counts
+from primeconv.nesting import NestedPlan, block_lengths
 from primeconv.polycrt import (
     TwoFactorPlan,
     _reduce_mod_all_ones,

@@ -10,9 +10,10 @@ import pytest
 import reference_engines as ref
 from helpers import bits, complex_samples, mixed_samples, real_samples, rng_for
 from primeconv.counting import OpTally
-from primeconv.fast import block_plan, plan_create, trace_convolution
+from primeconv.fast import plan_create
 from primeconv.polycrt import _reduce_mod_all_ones, poly_mul, two_factor_plan
 from primeconv.transforms import ConvolutionEngine
+from primeconv.verification import block_plan, trace_convolution
 
 # 60 = 3 * 4 * 5 nests over a composite prime-power block; 210 = 2 * 3 * 5 * 7
 # nests four levels deep; 498 = 2 * 3 * 83 is Rader's length at p = 499.
