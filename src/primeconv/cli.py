@@ -16,9 +16,6 @@ columns are the only exception and can be omitted with --no-timing.
 """
 
 import argparse
-import csv
-import io
-import json
 import sys
 import time
 from itertools import product
@@ -34,7 +31,9 @@ from .transforms import (
     linear_convolution,
     rader_dft,
 )
-from .verification import real_vector, run_suites, substream
+
+# verification and the csv and json report formats are imported where they
+# are used, so a one-shot convolve or dft process never loads them.
 
 # Best published counts for short prime lengths, quoted from the reference
 # comparison table as-is.  Reference data, not measured by this tool.
@@ -119,6 +118,9 @@ def _render_samples(signal: Signal) -> str:
 
 def _format_rows(rows, columns, fmt: str) -> str:
     if fmt == "csv":
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
@@ -132,6 +134,8 @@ def _format_rows(rows, columns, fmt: str) -> str:
             lines.append("| " + " | ".join(str(row.get(col, "")) for col in columns) + " |")
         return "\n".join(lines)
     if fmt == "json":
+        import json
+
         return json.dumps([{col: row.get(col, "") for col in columns} for row in rows], indent=2)
     raise CliError(f"unknown format {fmt!r}")
 
@@ -153,6 +157,8 @@ def _cases(args):
     times_ns), where counts are the measured (mults, adds), equal to the
     model's.
     """
+    from .verification import real_vector, substream
+
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     for row_index, (n, engine) in enumerate(product(_parse_sizes(args.sizes), _engines(args))):
@@ -218,6 +224,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verification import run_suites
+
     results = run_suites(
         sizes=_parse_sizes(args.sizes),
         trials=args.trials,

@@ -13,21 +13,35 @@ charged; see docs/counting_model.md for the exact boundary and for the
 audit that checks the charges.
 """
 
-from dataclasses import dataclass
-
 Scalar = float | complex
 
 
-@dataclass
 class OpTally:
     """Mutable counter for scalar multiplications and additions.
 
     A tally is owned by a single execution at a time; counts only grow
     while an execution runs, and reset() is meant for reuse in between.
+    Equality compares both counts between tallies only; a tally is mutable,
+    so it is unhashable.  A plain slotted class rather than a dataclass:
+    the dataclass machinery costs every ``import primeconv`` several
+    milliseconds of imports and generated code.
     """
 
-    mults: int = 0
-    adds: int = 0
+    __slots__ = ("mults", "adds")
+
+    def __init__(self, mults: int = 0, adds: int = 0) -> None:
+        self.mults = mults
+        self.adds = adds
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(mults={self.mults!r}, adds={self.adds!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mults, self.adds) == (other.mults, other.adds)
+
+    __hash__ = None
 
     def reset(self) -> None:
         self.mults = 0

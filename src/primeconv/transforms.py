@@ -132,8 +132,8 @@ class DftPlan(NamedTuple):
     the convolution; output_order[l] = g^l mod p scatters convolution
     results onto DFT bins 1 .. p-1.  ``kernel`` holds twiddles
     exp(-2*pi*i*g^t/p).  Construction is precomputation.  A NamedTuple,
-    like the fast plans, because a frozen dataclass costs about 1 ms at
-    import.
+    like the fast plans, so importing the package never loads
+    ``dataclasses``.
     """
 
     length: int

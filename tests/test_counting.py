@@ -1,3 +1,5 @@
+import pytest
+
 from primeconv.counting import OpTally
 from reference_engines import counted_add, counted_mul, counted_sub
 
@@ -47,3 +49,23 @@ def test_tally_accumulates_across_calls():
         acc = counted_add(acc, counted_mul(float(k), 2.0, tally), tally)
     assert acc == 90.0
     assert tally.counts == (10, 10)
+
+
+def test_tally_value_semantics():
+    # What OpTally had as a dataclass, kept by the plain slotted class.
+    assert OpTally(1, 2).counts == (1, 2)
+    assert OpTally(adds=2).counts == (0, 2)
+    assert OpTally(adds=2, mults=1) == OpTally(1, 2)
+    assert OpTally(1, 2) != OpTally(2, 1)
+    assert OpTally() != (0, 0)
+    assert OpTally() != None  # noqa: E711 -- the comparison itself is under test
+    assert OpTally().__eq__((0, 0)) is NotImplemented
+    assert repr(OpTally(mults=1, adds=2)) == "OpTally(mults=1, adds=2)"
+    with pytest.raises(TypeError):
+        hash(OpTally())
+
+
+def test_tally_rejects_unknown_attributes():
+    tally = OpTally()
+    with pytest.raises(AttributeError):
+        tally.mult = 1

@@ -1,11 +1,17 @@
-"""The package's module layering, read from the source with ``ast``.
+"""The package's module layering, read from the source with ``ast``, and
+what a fresh process loads.
 
 ``nesting`` is the Good-Thomas machinery both reduced engines share, so it
 sits below them; the engines reach it through its public names and never
-through each other; tools that only verification uses live there.
+through each other; tools that only verification uses live there.  A
+one-shot ``convolve`` or ``dft`` loads neither ``verification`` nor the
+report formats: the CLI imports them where they are used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,11 +23,13 @@ PACKAGE = Path(primeconv.__file__).parent
 VERIFICATION_TOOLS = ("ConvolutionTrace", "block_plan", "reverse_permute", "trace_convolution")
 
 
-def imports(module: str) -> list:
+def imports(module: str, top_level: bool = False) -> list:
     """(source, name) for each ``from source import name`` in ``module``,
-    with the package's own modules named without the ``primeconv.`` prefix."""
+    with the package's own modules named without the ``primeconv.`` prefix;
+    only the module's own statements when ``top_level``, else every import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     found = []
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+    for node in tree.body if top_level else ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             source = node.module or ""
             if node.level == 0 and source.startswith("primeconv."):
@@ -57,3 +65,53 @@ def test_public_names_resolve_and_exclude_verification_tools():
         assert name not in primeconv.__all__
         assert not hasattr(fast, name) and not hasattr(core, name), name
         assert hasattr(verification, name), name
+
+
+def test_cli_imports_verification_and_report_formats_on_demand():
+    assert {"verification", "csv", "json"}.isdisjoint(
+        source for source, _ in imports("cli", top_level=True))
+
+
+# Runs in a fresh interpreter: argv[1] is a p = 5 sample file, argv[2] the
+# dft output path.  Writes to stderr, per step, the watched modules loaded
+# since start-up.
+LOAD_PROBE = """
+import sys
+WATCHED = ("primeconv.verification", "dataclasses", "fractions", "csv", "json")
+before = set(sys.modules)
+steps = {}
+def record(step):
+    steps[step] = [name for name in WATCHED if name in sys.modules and name not in before]
+import primeconv
+record("import primeconv")
+import primeconv.cli
+record("import primeconv.cli")
+assert primeconv.cli.main(["dft", sys.argv[1], "--out", sys.argv[2]]) == 0
+record("dft")
+assert primeconv.cli.main(["verify", "--sizes", "3", "--trials", "1"]) == 0
+record("verify")
+print(repr(steps), file=sys.stderr)
+"""
+
+
+@pytest.fixture(scope="module")
+def load_steps(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("load_probe")
+    samples = folder / "samples.txt"
+    samples.write_text("1\n2\n0.5 -1\n-3\n0\n")
+    package_root = str(PACKAGE.resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", LOAD_PROBE, str(samples), str(folder / "out.txt")],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == 0, run.stderr
+    return ast.literal_eval(run.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("step", ["import primeconv", "import primeconv.cli", "dft"])
+def test_one_shot_steps_load_no_verification_or_report_code(load_steps, step):
+    assert load_steps[step] == []
+
+
+def test_verify_loads_verification_on_demand(load_steps):
+    assert "primeconv.verification" in load_steps["verify"]
