@@ -7,40 +7,21 @@ a polynomial residue (CRT) form — plus a prime-length DFT that rides on
 top of them.  Every engine can run with an
 :class:`~primeconv.counting.OpTally` attached, in which case each scalar
 multiplication and addition performed on runtime data is counted exactly.
+
+The root exports the engine protocol (:class:`ConvolutionEngine`), the
+transforms built on it and the oracles they are checked against.  Each
+engine's plans, builders, runners and counts stay in its own module:
+``primeconv.fast``, ``primeconv.polycrt``, ``primeconv.nesting`` and
+``primeconv.core``.
 """
 
 from .counting import OpTally, Scalar
-from .core import (
-    Signal,
-    as_signal,
-    direct_cyclic_convolution,
-    direct_predicted_counts,
-    is_prime,
-    max_relative_error,
-    next_prime,
-    prime_factors,
-)
-from .fast import (
-    FastPlan,
-    fast_cyclic_convolution,
-    multiplication_lower_bound,
-    plan_create,
-    predicted_counts,
-)
-from .nesting import NestedPlan, block_lengths
-from .polycrt import (
-    TwoFactorPlan,
-    poly_mul,
-    two_factor_plan,
-    two_factor_predicted_counts,
-    winograd_two_factor_convolution,
-)
+from .core import Signal, direct_cyclic_convolution, max_relative_error
 from .transforms import (
     ConvolutionEngine,
     DftPlan,
     cyclic_convolution,
     dft_plan,
-    find_primitive_root,
     linear_convolution,
     naive_dft,
     padded_length,
@@ -53,35 +34,17 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvolutionEngine",
     "DftPlan",
-    "FastPlan",
-    "NestedPlan",
     "OpTally",
     "Scalar",
     "Signal",
-    "TwoFactorPlan",
     "__version__",
-    "as_signal",
-    "block_lengths",
     "cyclic_convolution",
     "dft_plan",
     "direct_cyclic_convolution",
-    "direct_predicted_counts",
-    "fast_cyclic_convolution",
-    "find_primitive_root",
-    "is_prime",
     "linear_convolution",
     "max_relative_error",
-    "multiplication_lower_bound",
     "naive_dft",
-    "next_prime",
     "padded_length",
-    "plan_create",
-    "poly_mul",
-    "predicted_counts",
-    "prime_factors",
     "rader_dft",
     "schoolbook_linear_convolution",
-    "two_factor_plan",
-    "two_factor_predicted_counts",
-    "winograd_two_factor_convolution",
 ]

@@ -19,7 +19,6 @@ import argparse
 import sys
 import time
 from itertools import product
-from pathlib import Path
 
 from .core import Signal, direct_cyclic_convolution, is_prime, max_relative_error
 from .counting import OpTally
@@ -83,7 +82,8 @@ def _engines(args) -> list:
 
 def _load_signal(path: str) -> Signal:
     try:
-        lines = Path(path).read_text().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from None
     samples = []
@@ -142,7 +142,8 @@ def _format_rows(rows, columns, fmt: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text + "\n")
+        with open(out, "w") as handle:
+            handle.write(text + "\n")
     else:
         print(text)
 

@@ -8,7 +8,6 @@ and the plain cyclic matrix form of convolution.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -188,8 +187,7 @@ def correction_oracle(kernel, data) -> tuple:
 # ---------------------------------------------------------------------------
 # Verification suites.
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     max_error: float | None

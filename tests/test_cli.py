@@ -184,7 +184,7 @@ def test_verify_inject_fault_fails(capsys):
     assert "result: FAIL" in out
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 30])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 30, 499])
 def test_verify_inject_fault_fails_at_each_size(capsys, n):
     # One size per run: in a sweep, a fault missed at one size is hidden by
     # the sizes that catch it.
@@ -193,6 +193,17 @@ def test_verify_inject_fault_fails_at_each_size(capsys, n):
     )
     assert code == 1, out
     assert "result: FAIL" in out
+
+
+def test_verify_passes_at_nested_lengths(capsys):
+    # Composite lengths with two to four coprime parts and with prime-power
+    # parts, and the benchmark's prime 499 beside 498 = 2 * 3 * 83.
+    code, out, _ = run_cli(
+        capsys, "verify", "--seed", "42",
+        "--sizes", "6,10,12,20,30,36,60,72,77,143,200,210,498,499",
+    )
+    assert code == 0, out
+    assert "result: PASS (9/9 suites)" in out
 
 
 def test_verify_zero_tolerance_fails(capsys):
@@ -344,6 +355,12 @@ def test_convolve_comments_and_blank_lines(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "convolve", str(data), str(kernel))
     assert code == 0
     assert parse_samples(out) == pytest.approx([4.0, 5.0, 6.0])
+
+    data.write_text("# only comments\n\n   \n# and blanks\n")
+    code, out, err = run_cli(capsys, "convolve", str(data), str(kernel))
+    assert code == 2
+    assert out == ""
+    assert err == f"primeconv: error: {data}: no samples found\n"
 
 
 def test_convolve_length_mismatch_names_both(tmp_path, capsys):

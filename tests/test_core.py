@@ -30,6 +30,7 @@ def test_signal_basics():
     assert s == Signal([1.0, 2.0, 3.0])
     assert hash(s) == hash(Signal([1.0, 2.0, 3.0]))
     assert tuple(s) == s.samples
+    assert repr(s) == "Signal([1.0, 2.0, 3.0])"
 
 
 def test_signal_slicing_returns_signal():

@@ -3,9 +3,11 @@ what a fresh process loads.
 
 ``nesting`` is the Good-Thomas machinery both reduced engines share, so it
 sits below them; the engines reach it through its public names and never
-through each other; tools that only verification uses live there.  A
-one-shot ``convolve`` or ``dft`` loads neither ``verification`` nor the
-report formats: the CLI imports them where they are used.
+through each other; tools that only verification uses live there.  The
+package root exports the engine protocol, the transforms and the oracles;
+each engine's own names stay at its module.  A one-shot ``convolve`` or
+``dft`` loads neither ``verification`` nor the report formats: the CLI
+imports them where they are used, and ``verify`` loads no ``dataclasses``.
 """
 
 import ast
@@ -17,10 +19,29 @@ from pathlib import Path
 import pytest
 
 import primeconv
-from primeconv import core, fast, verification
+from primeconv import core, fast, nesting, polycrt, transforms, verification
 
 PACKAGE = Path(primeconv.__file__).parent
 VERIFICATION_TOOLS = ("ConvolutionTrace", "block_plan", "reverse_permute", "trace_convolution")
+ROOT_NAMES = {
+    "ConvolutionEngine", "cyclic_convolution",
+    "OpTally", "Scalar", "Signal",
+    "DftPlan", "dft_plan", "rader_dft", "linear_convolution", "padded_length",
+    "direct_cyclic_convolution", "naive_dft", "schoolbook_linear_convolution",
+    "max_relative_error",
+    "__version__",
+}
+# Each engine's plans, builders, runners and counts, and the number-theory
+# helpers, are read at their own module and never from the root.
+MODULE_NAMES = {
+    fast: ("FastPlan", "plan_create", "fast_cyclic_convolution", "predicted_counts",
+           "multiplication_lower_bound"),
+    polycrt: ("TwoFactorPlan", "two_factor_plan", "winograd_two_factor_convolution",
+              "two_factor_predicted_counts", "poly_mul"),
+    nesting: ("NestedPlan", "block_lengths"),
+    core: ("as_signal", "direct_predicted_counts", "is_prime", "next_prime", "prime_factors"),
+    transforms: ("find_primitive_root",),
+}
 
 
 def imports(module: str, top_level: bool = False) -> list:
@@ -59,6 +80,14 @@ def test_no_private_name_is_imported(module):
     assert [name for _, name in imports(module) if name.startswith("_")] == []
 
 
+def test_root_exports_the_protocol_transforms_and_oracles_only():
+    assert set(primeconv.__all__) == ROOT_NAMES
+    for module, names in MODULE_NAMES.items():
+        for name in names:
+            assert not hasattr(primeconv, name), name
+            assert hasattr(module, name), (module.__name__, name)
+
+
 def test_public_names_resolve_and_exclude_verification_tools():
     assert [name for name in primeconv.__all__ if not hasattr(primeconv, name)] == []
     for name in VERIFICATION_TOOLS:
@@ -70,6 +99,10 @@ def test_public_names_resolve_and_exclude_verification_tools():
 def test_cli_imports_verification_and_report_formats_on_demand():
     assert {"verification", "csv", "json"}.isdisjoint(
         source for source, _ in imports("cli", top_level=True))
+
+
+def test_cli_reads_and_writes_files_without_pathlib():
+    assert "pathlib" not in {source for source, _ in imports("cli")}
 
 
 # Runs in a fresh interpreter: argv[1] is a p = 5 sample file, argv[2] the
@@ -115,3 +148,7 @@ def test_one_shot_steps_load_no_verification_or_report_code(load_steps, step):
 
 def test_verify_loads_verification_on_demand(load_steps):
     assert "primeconv.verification" in load_steps["verify"]
+
+
+def test_verify_loads_no_dataclasses(load_steps):
+    assert "dataclasses" not in load_steps["verify"]
