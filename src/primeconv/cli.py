@@ -142,8 +142,11 @@ def _format_rows(rows, columns, fmt: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise CliError(f"{out}: {exc.strerror or exc}") from None
     else:
         print(text)
 

@@ -118,8 +118,10 @@ def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Sig
     """Cyclic convolution by the defining double loop.
 
     Tallies exactly n*n multiplications and n*(n-1) additions.  Accepts
-    n = 1 (a single product).  This is the oracle: no rearrangement, no
-    shared subexpressions.
+    n = 1 (a single product).  This is the oracle: each output starts from
+    b[0]*z[p] and adds b[l]*z[(p-l) mod n] in ascending l, with no shared
+    subexpressions.  Four outputs share one pass over l; that grouping
+    changes the loop, not the arithmetic.
     """
     b = as_signal(kernel)
     z = as_signal(data)
@@ -128,11 +130,26 @@ def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Sig
     if tally is None:
         tally = OpTally()
     n = len(b)
+    zs = z.samples
     b0, rest = b.samples[0], b.samples[1:]
     # rev[n - 1 - p + l] == z[(p - l) mod n], so output p reads one window.
-    rev = z.samples[::-1] * 2
+    rev = zs[::-1] * 2
     out = []
-    for p in range(n):
+    grouped = n - n % 4
+    # Outputs p ... p+3 in one pass: each b[l] is read once, and output
+    # p+k's window is output p's shifted by k, so the sample output p reads
+    # at step l moves down a register for output p+1 at step l+1.
+    for p in range(0, grouped, 4):
+        x1, x2, x3 = zs[p:p + 3]
+        a0, a1, a2, a3 = b0 * x1, b0 * x2, b0 * x3, b0 * zs[p + 3]
+        for bl, x0 in zip(rest, rev[n - p:2 * n - 1 - p]):
+            a0 += bl * x0
+            a1 += bl * x1
+            a2 += bl * x2
+            a3 += bl * x3
+            x1, x2, x3 = x0, x1, x2
+        out += (a0, a1, a2, a3)
+    for p in range(grouped, n):
         acc = b0 * rev[n - 1 - p]
         for bl, zl in zip(rest, rev[n - p:2 * n - 1 - p]):
             acc += bl * zl

@@ -448,6 +448,22 @@ def test_convolve_out_file(tmp_path, capsys):
     assert parse_samples(target.read_text()) == pytest.approx([31.0, 31.0, 28.0])
 
 
+@pytest.mark.parametrize("command", ["table", "convolve", "dft"])
+def test_unwritable_out_file_exit_2(tmp_path, capsys, command):
+    samples = tmp_path / "samples.txt"
+    write_samples(samples, [1.0, 2.0, 3.0])
+    target = tmp_path / "missing" / "out.txt"
+    argv = {
+        "table": ["table", "--sizes", "3", "--no-timing"],
+        "convolve": ["convolve", str(samples), str(samples)],
+        "dft": ["dft", str(samples)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"primeconv: error: {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 # --- dft -------------------------------------------------------------------------
 
 def test_dft_matches_naive(tmp_path, capsys):

@@ -150,6 +150,33 @@ def test_direct_convolution_counts_are_exact():
     assert direct_predicted_counts(11) == (121, 110)
 
 
+def test_direct_convolution_is_exact_over_integers_and_rationals():
+    # Direct computes four outputs per pass and the n mod 4 others one at a
+    # time; n = 1-13 runs every remainder, with and without whole groups.
+    # Exact rings check which sample meets which kernel weight, free of
+    # float rounding.
+    rng = rng_for(10)
+
+    def integers(n):
+        return [rng.randint(-99, 99) for _ in range(n)]
+
+    def rationals(n):
+        return [Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(n)]
+
+    for n in range(1, 14):
+        for make_kernel, make_data in ((integers, integers), (rationals, rationals),
+                                       (rationals, integers), (integers, rationals)):
+            b = make_kernel(n)
+            z = make_data(n)
+            want = [sum(b[l] * z[(p - l) % n] for l in range(n)) for p in range(n)]
+            tally = OpTally()
+            got = direct_cyclic_convolution(b, z, tally)
+            assert list(got) == want, (n, make_kernel.__name__, make_data.__name__)
+            assert tally.counts == (n * n, n * (n - 1))
+        assert all(type(value) is int for value in direct_cyclic_convolution(
+            integers(n), integers(n)))
+
+
 def test_direct_convolution_commutes():
     rng = rng_for(5)
     for n in range(1, 12):

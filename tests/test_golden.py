@@ -47,7 +47,7 @@ def test_convolve_out_files_match_golden_bytes(tmp_path):
     inputs = GOLDEN / "convolve"
     written = []
     for engine in ConvolutionEngine:
-        for kind in ("real", "complex", "zero"):
+        for kind in ("real", "complex", "zero", "long"):
             target = tmp_path / f"{engine.value}-{kind}.txt"
             assert main(["convolve", str(inputs / f"{kind}_data.txt"),
                          str(inputs / f"{kind}_kernel.txt"), "--engine", engine.value,

@@ -17,9 +17,10 @@ from primeconv.verification import block_plan, trace_convolution
 
 # 60 = 3 * 4 * 5 nests over a composite prime-power block; 210 = 2 * 3 * 5 * 7
 # nests four levels deep; 498 = 2 * 3 * 83 is Rader's length at p = 499.
-# Fast-prime runs rows 1 .. n - 2 of a block in groups of four: sizes 1-40
-# cover every remainder of that grouping on scalar blocks, and 77 = 7 * 11
-# and 143 = 11 * 13 run it on lane vectors, in outer blocks of 7 and 11.
+# Fast-prime runs rows 1 .. n - 2 of a block in groups of four, and direct
+# runs four outputs per pass: sizes 1-40 cover every remainder of both
+# groupings on scalar blocks, and 77 = 7 * 11 and 143 = 11 * 13 run
+# fast-prime's on lane vectors, in outer blocks of 7 and 11.
 SIZES = tuple(range(1, 41)) + (60, 77, 97, 143, 210, 498, 499)
 ZERO_SIZES = tuple(range(1, 41)) + (97,)
 
