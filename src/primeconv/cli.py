@@ -16,8 +16,10 @@ columns are the only exception and can be omitted with --no-timing.
 """
 
 import argparse
+import cmath
 import sys
 import time
+from functools import lru_cache
 from itertools import product
 
 from .core import Signal, direct_cyclic_convolution, is_prime, max_relative_error
@@ -89,10 +91,9 @@ def _load_signal(path: str) -> Signal:
     samples = []
     any_complex = False
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":  # a blank line or a comment
             continue
-        fields = line.split()
         try:
             if len(fields) == 1:
                 samples.append(float(fields[0]))
@@ -102,12 +103,20 @@ def _load_signal(path: str) -> Signal:
             else:
                 raise CliError(f"{path}:{lineno}: expected 1 or 2 numeric fields, got {len(fields)}")
         except ValueError:
-            raise CliError(f"{path}:{lineno}: could not parse {line!r}") from None
+            raise CliError(f"{path}:{lineno}: could not parse {raw.strip()!r}") from None
     if not samples:
         raise CliError(f"{path}: no samples found")
     if any_complex:
         samples = [complex(value) for value in samples]
-    return Signal(samples)
+    try:
+        return Signal(samples)
+    except ValueError as exc:
+        # Signal names the first non-finite sample; only a file that fails
+        # walks its lines again, to say on which line that sample is.
+        bad = next(i for i, value in enumerate(samples) if not cmath.isfinite(value))
+        sample_lines = [lineno for lineno, raw in enumerate(lines, start=1)
+                        if (fields := raw.split()) and fields[0][0] != "#"]
+        raise CliError(f"{path}:{sample_lines[bad]}: {exc}") from None
 
 
 def _render_samples(signal: Signal) -> str:
@@ -379,9 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on the first call and kept for the process: parsing
+# leaves a parser unchanged, and argparse looks up sys.stdout and sys.stderr
+# when it prints.  Its subcommands hold the cmd_* functions of that first
+# build.  build_parser() itself still returns a new parser.
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

@@ -133,7 +133,7 @@ class DftPlan(NamedTuple):
     results onto DFT bins 1 .. p-1.  ``kernel`` holds twiddles
     exp(-2*pi*i*g^t/p).  Construction is precomputation.  A NamedTuple,
     like the fast plans, so importing the package never loads
-    ``dataclasses``.
+    ``dataclasses``, and immutable, so one plan serves every caller.
     """
 
     length: int
@@ -143,11 +143,14 @@ class DftPlan(NamedTuple):
     kernel: Signal
 
 
+@lru_cache(maxsize=None, typed=True)
 def dft_plan(p: int) -> DftPlan:
-    """Build the Rader reindexing plan for prime p >= 3.
+    """The Rader reindexing plan for prime p >= 3, built once per p per process.
 
-    The powers of g come from one running product, x = x * g mod p, and
-    input_order reads them backwards: g^{-m} = g^{(p-1)-m}.
+    Kept unbounded like ``_unit_roots``, at O(p) per entry.  ``typed`` keeps
+    ``dft_plan(5.0)`` a TypeError after ``dft_plan(5)``.  The powers of g
+    come from one running product, x = x * g mod p, and input_order reads
+    them backwards: g^{-m} = g^{(p-1)-m}.
     """
     g = find_primitive_root(p)
     output_order = [1]
@@ -163,8 +166,8 @@ def dft_plan(p: int) -> DftPlan:
 def _rader_runner(kernel: Signal, engine: ConvolutionEngine):
     """``engine.prepare(kernel)``, once per (twiddle kernel, engine) per process.
 
-    Keyed by value, so the equal kernels of two ``dft_plan(p)`` calls share
-    one runner.  The runner looks the engine function up when called, so
+    Keyed by value, so equal twiddle kernels share one runner, whichever
+    plan holds them.  The runner looks the engine function up when called, so
     replacing ``transforms.<name>`` still reaches every later DFT.
     """
     return engine.prepare(kernel)

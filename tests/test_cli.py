@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import json
 import pytest
 
 from helpers import complex_samples, rng_for
+from primeconv import transforms
 from primeconv.cli import build_parser, main
 from primeconv.transforms import ConvolutionEngine, naive_dft
 
@@ -395,6 +397,19 @@ def test_convolve_parse_error_names_line(tmp_path, capsys):
     assert ":2:" in err
 
 
+@pytest.mark.parametrize("command", ["dft", "convolve"])
+@pytest.mark.parametrize("sample, shown", [("nan", "nan"), ("1e400", "inf"),
+                                           ("0.5 -1e400", "(0.5-infj)")])
+def test_non_finite_sample_names_its_file_and_line(tmp_path, capsys, command, sample, shown):
+    good = tmp_path / "good.txt"
+    write_samples(good, [1.0, 2.0, 3.0, 4.0, 5.0])
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"# header\n1.0\n\n  # note\n2.0\n{sample}\n4.0\n5.0\n")
+    argv = ["dft", str(bad)] if command == "dft" else ["convolve", str(good), str(bad)]
+    assert run_cli(capsys, *argv) == (
+        2, "", f"primeconv: error: {bad}:6: non-finite sample {shown}\n")
+
+
 def test_convolve_library_error_exit_2(tmp_path, capsys):
     data = tmp_path / "one.txt"
     write_samples(data, [1.0])
@@ -536,6 +551,36 @@ def test_repeated_dft_calls_write_identical_files(cold_rader_runners, tmp_path, 
             assert (code, out) == (0, "")
             written.append(target.read_bytes())
         assert written[0] == written[1], engine
+
+
+def test_dft_calls_at_one_prime_share_one_parser_and_one_plan(tmp_path, capsys, monkeypatch):
+    parsers, roots = [], []
+    parse_args = argparse.ArgumentParser.parse_args
+    find_root = transforms.find_primitive_root
+
+    def record_parser(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    def record_root(p):
+        roots.append(p)
+        return find_root(p)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", record_parser)
+    monkeypatch.setattr(transforms, "find_primitive_root", record_root)
+    data = tmp_path / "data.txt"
+    write_samples(data, complex_samples(rng_for(61), 37))
+    outputs = []
+    for engine in ("direct", "fast-prime", "winograd-two-factor"):
+        code, out, _ = run_cli(capsys, "dft", str(data), "--engine", engine)
+        assert code == 0
+        outputs.append(parse_samples(out))
+    assert len(parsers) == 3 and all(parser is parsers[0] for parser in parsers)
+    # At most the first call builds dft_plan(37); an earlier test may have.
+    assert roots in ([], [37])
+    want = list(naive_dft(complex_samples(rng_for(61), 37)))
+    for got in outputs:
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_bad_argv_after_a_good_call_exits_2_with_the_same_message(tmp_path, capsys):

@@ -10,6 +10,12 @@ neither report writes a warning.
 ``convolve_cyclic.txt`` holds what ``convolve`` prints for the inputs
 under ``tests/golden/convolve/``, per engine.  Convolution is pure IEEE
 arithmetic, so these bits, signed zeros included, are the same everywhere.
+
+``dft.txt`` holds what ``dft`` prints for the inputs under
+``tests/golden/dft/``, per engine: real and complex samples with mixed
+signed zeros at p = 5, 13 (Rader length 12 = 3 * 4) and 31.  Beyond IEEE
+arithmetic its bits depend on the twiddles ``cmath.exp`` returns, which
+agree on CPython 3.10-3.13 with glibc's libm.
 """
 
 import os
@@ -54,3 +60,19 @@ def test_convolve_out_files_match_golden_bytes(tmp_path):
                          "--out", str(target)]) == 0
             written.append(f"# {engine.value} {kind}\n".encode() + target.read_bytes())
     assert b"".join(written) == (GOLDEN / "convolve_cyclic.txt").read_bytes()
+
+
+DFT_KINDS = ("real_5", "complex_5", "real_13", "complex_13", "real_31", "complex_31")
+
+
+def test_dft_out_files_match_golden_bytes(tmp_path):
+    # CI builds the same file from stdout, one "# engine kind" line per run.
+    inputs = GOLDEN / "dft"
+    written = []
+    for engine in ConvolutionEngine:
+        for kind in DFT_KINDS:
+            target = tmp_path / f"{engine.value}-{kind}.txt"
+            assert main(["dft", str(inputs / f"{kind}.txt"), "--engine", engine.value,
+                         "--out", str(target)]) == 0
+            written.append(f"# {engine.value} {kind}\n".encode() + target.read_bytes())
+    assert b"".join(written) == (GOLDEN / "dft.txt").read_bytes()

@@ -14,6 +14,7 @@ from primeconv.counting import OpTally
 from primeconv.fast import CompositeLengthWarning, plan_create
 from primeconv.transforms import (
     ConvolutionEngine,
+    DftPlan,
     cyclic_convolution,
     dft_plan,
     find_primitive_root,
@@ -166,6 +167,15 @@ def test_dft_plan_structure():
         assert all(abs(abs(v) - 1.0) < 1e-12 for v in plan.kernel)
 
 
+def test_dft_plan_is_kept_per_prime_and_bad_lengths_still_raise():
+    assert dft_plan(7) is dft_plan(7)
+    with pytest.raises(TypeError):
+        dft_plan(7.0)  # typed: an equal float does not find the int's plan
+    for _ in range(2):
+        with pytest.raises(ValueError, match="need a prime p >= 3, got 6"):
+            dft_plan(6)
+
+
 def test_dft_plan_matches_power_definition():
     # input_order[m] = g^-m, output_order[l] = g^l and kernel[t] =
     # exp(-2 pi i g^t / p), each power by pow(), as the plan defines them.
@@ -233,13 +243,18 @@ def test_rader_builds_each_engine_plan_once_per_prime(cold_rader_runners, monkey
             built.append(_name)
             return _build(kernel)
         monkeypatch.setattr(transforms, name, counted)
+    # dft_plan(31) is kept, so the twin is built by hand: an equal plan whose
+    # kernel is a new Signal still finds the runner kept for the first.
+    plan = dft_plan(31)
+    twin = DftPlan(*plan[:4], Signal(list(plan.kernel)))
+    assert twin == plan and twin.kernel is not plan.kernel
     rng = rng_for(47)
     for _ in range(3):
         data = complex_samples(rng, 31)
         want = naive_dft(data)
-        for engine in ALL_ENGINES:
-            assert max_relative_error(rader_dft(dft_plan(31), data, engine), want) < 1e-9
-    # Each dft_plan(31) is a new plan; its equal kernel finds the kept runner.
+        for each in (plan, twin):
+            for engine in ALL_ENGINES:
+                assert max_relative_error(rader_dft(each, data, engine), want) < 1e-9
     assert built == ["plan_create", "two_factor_plan"]
 
 
