@@ -87,7 +87,6 @@ def cyclic_convolution(kernel, data, engine: ConvolutionEngine = ConvolutionEngi
     return engine.prepare(kernel)(data, tally)
 
 
-@lru_cache(maxsize=None)
 def _unit_roots(n: int) -> tuple:
     """exp(-2*pi*i*t/n) for t = 0 .. n-1."""
     return tuple(cmath.exp(complex(0.0, -2.0 * math.pi * t / n)) for t in range(n))
@@ -147,10 +146,10 @@ class DftPlan(NamedTuple):
 def dft_plan(p: int) -> DftPlan:
     """The Rader reindexing plan for prime p >= 3, built once per p per process.
 
-    Kept unbounded like ``_unit_roots``, at O(p) per entry.  ``typed`` keeps
-    ``dft_plan(5.0)`` a TypeError after ``dft_plan(5)``.  The powers of g
-    come from one running product, x = x * g mod p, and input_order reads
-    them backwards: g^{-m} = g^{(p-1)-m}.
+    Kept unbounded, at O(p) per entry.  ``typed`` keeps ``dft_plan(5.0)`` a
+    TypeError after ``dft_plan(5)``.  The powers of g come from one running
+    product, x = x * g mod p, and input_order reads them backwards:
+    g^{-m} = g^{(p-1)-m}.
     """
     g = find_primitive_root(p)
     output_order = [1]
@@ -167,8 +166,10 @@ def _rader_runner(kernel: Signal, engine: ConvolutionEngine):
     """``engine.prepare(kernel)``, once per (twiddle kernel, engine) per process.
 
     Keyed by value, so equal twiddle kernels share one runner, whichever
-    plan holds them.  The runner looks the engine function up when called, so
-    replacing ``transforms.<name>`` still reaches every later DFT.
+    plan holds them; a ``Signal`` keeps its hash, so a warm lookup costs
+    O(1), not a pass over the p - 1 twiddles.  The runner looks the engine
+    function up when called, so replacing ``transforms.<name>`` still
+    reaches every later DFT.
     """
     return engine.prepare(kernel)
 
@@ -183,7 +184,7 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     p - 1 (498 = 2 * 3 * 83 at p = 499), and a part that is a composite
     prime power (4 in 12 = 3 * 4, at p = 13) runs as one block.  The
     engine's prepared twiddle kernel is built once per (p, engine) per
-    process and kept, unbounded like ``_unit_roots``, at O(p) per entry.
+    process and kept, unbounded like ``dft_plan``, at O(p) per entry.
     """
     x = as_signal(data)
     p = plan.length

@@ -5,15 +5,10 @@ with ``pytest -s`` to see them) and asserts the same condition, so the
 suite gates CI while doubling as a human-readable report.
 """
 
-import os
-import subprocess
-import sys
 from functools import reduce
 from operator import add
-from pathlib import Path
 
-import primeconv
-from helpers import complex_samples, real_samples, rng_for
+from helpers import complex_samples, real_samples, rng_for, run_fresh
 from primeconv.cli import main as cli_main
 from primeconv.core import (
     direct_cyclic_convolution,
@@ -240,14 +235,7 @@ def test_7_multiplication_ratio_and_reported_timings():
 
 
 def test_8_verification_report_is_byte_identical():
-    command = [sys.executable, "-m", "primeconv", "verify", "--seed", "42"]
-    # The CLI runs in a child process; point it at the package under test,
-    # which need not be installed.
-    package_root = str(Path(primeconv.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
-    first = subprocess.run(command, capture_output=True, timeout=600, env=env)
-    second = subprocess.run(command, capture_output=True, timeout=600, env=env)
+    first, second = (run_fresh("-m", "primeconv", "verify", "--seed", "42") for _ in range(2))
     ok = (
         first.returncode == 0
         and second.returncode == 0

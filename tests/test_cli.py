@@ -6,7 +6,7 @@ import json
 import pytest
 
 from helpers import complex_samples, rng_for
-from primeconv import transforms
+from primeconv import transforms, verification
 from primeconv.cli import build_parser, main
 from primeconv.transforms import ConvolutionEngine, naive_dft
 
@@ -231,6 +231,25 @@ def test_verify_rejects_tolerance_that_is_not_finite_and_non_negative(capsys, to
     assert code == 2
     assert out == ""
     assert err == f"primeconv: error: tolerance must be finite and >= 0, got {float(tol)}\n"
+
+
+# Per suite, an ingredient only that suite uses, and a broken stand-in.
+BROKEN_INGREDIENTS = {
+    "count-exactness": (ConvolutionEngine, "predicted_counts", lambda engine, n: (n * n, 0)),
+    "identity-decomposition": (verification, "identity_decomposition_residual", lambda n: 1.0),
+    "seed-matrix-rank": (verification, "matrix_rank", len),
+}
+
+
+@pytest.mark.parametrize("suite", BROKEN_INGREDIENTS)
+def test_verify_fails_only_the_suite_whose_ingredient_breaks(capsys, monkeypatch, suite):
+    monkeypatch.setattr(*BROKEN_INGREDIENTS[suite])
+    code, out, _ = run_cli(capsys, "verify", "--sizes", "5", "--trials", "2", "--format", "csv")
+    table, summary = out.split("result: ")
+    assert code == 1
+    assert summary == "FAIL (8/9 suites)\n"
+    failed = [row["suite"] for row in csv.DictReader(io.StringIO(table)) if row["status"] == "FAIL"]
+    assert failed == [suite]
 
 
 def test_verify_out_file_still_prints_summary(tmp_path, capsys):

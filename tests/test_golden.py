@@ -1,29 +1,29 @@
-"""Byte-for-byte golden outputs of the CLI's deterministic reports.
+"""The one place the CLI's reports are run and compared, warnings as errors.
 
 README promises that ``verify`` and ``table --no-timing`` print the same
 bytes for a fixed seed on every supported Python.  The files under
 ``tests/golden/`` hold that output; regenerate them only for a change that
-is meant to alter a report, and say why in the change log.  Only stdout is
-compared; a composite prime-power part (4 in 12) runs as one block, and
-neither report writes a warning.
+is meant to alter a report, and say why in the change log.  ``table``,
+``verify`` and ``bench`` run in fresh ``python -W error`` processes, so a
+warning anywhere, on-demand imports included, fails them; so does stderr
+output, and the json reports must parse.
 
 ``convolve_cyclic.txt`` holds what ``convolve`` prints for the inputs
-under ``tests/golden/convolve/``, per engine.  Convolution is pure IEEE
-arithmetic, so these bits, signed zeros included, are the same everywhere.
-
-``dft.txt`` holds what ``dft`` prints for the inputs under
-``tests/golden/dft/``, per engine: real and complex samples with mixed
-signed zeros at p = 5, 13 (Rader length 12 = 3 * 4) and 31.  Beyond IEEE
-arithmetic its bits depend on the twiddles ``cmath.exp`` returns, which
-agree on CPython 3.10-3.13 with glibc's libm.
+under ``tests/golden/convolve/``, per engine, after a ``# engine kind``
+line.  Convolution is pure IEEE arithmetic, so these bits, signed zeros
+included, are the same everywhere.  ``dft.txt`` holds the same for
+``dft`` on ``tests/golden/dft/``: real and complex samples with mixed
+signed zeros at p = 5, 13 (Rader length 12 = 3 * 4) and 31.  Its bits also
+depend on the twiddles ``cmath.exp`` returns, which agree on CPython
+3.10-3.13 with glibc's libm.  Both run in-process with every warning an
+error, and their ``--out`` files hold the bytes they print.
 """
 
-import os
-import subprocess
-import sys
+import json
+import warnings
 from pathlib import Path
 
-import primeconv
+from helpers import run_fresh
 from primeconv.cli import main
 from primeconv.transforms import ConvolutionEngine
 
@@ -33,46 +33,62 @@ REPORTS = {
     "table_no_timing.csv": ["table", "--no-timing", "--sizes", "2-16,30,60,210,498",
                             "--trials", "2", "--format", "csv"],
 }
-
-
-def test_reports_match_golden_bytes():
-    # The CLI runs in a child process; point it at the package under test,
-    # which need not be installed.
-    package_root = str(Path(primeconv.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
-    for name, args in REPORTS.items():
-        run = subprocess.run([sys.executable, "-m", "primeconv", *args],
-                             capture_output=True, timeout=600, env=env)
-        assert run.returncode == 0, (name, run.stderr.decode())
-        assert run.stdout == (GOLDEN / name).read_bytes(), name
-
-
-def test_convolve_out_files_match_golden_bytes(tmp_path):
-    # CI builds the same file from stdout, one "# engine kind" line per run.
-    inputs = GOLDEN / "convolve"
-    written = []
-    for engine in ConvolutionEngine:
-        for kind in ("real", "complex", "zero", "long"):
-            target = tmp_path / f"{engine.value}-{kind}.txt"
-            assert main(["convolve", str(inputs / f"{kind}_data.txt"),
-                         str(inputs / f"{kind}_kernel.txt"), "--engine", engine.value,
-                         "--out", str(target)]) == 0
-            written.append(f"# {engine.value} {kind}\n".encode() + target.read_bytes())
-    assert b"".join(written) == (GOLDEN / "convolve_cyclic.txt").read_bytes()
-
-
+CONVOLVE_KINDS = ("real", "complex", "zero", "long")
 DFT_KINDS = ("real_5", "complex_5", "real_13", "complex_13", "real_31", "complex_31")
 
 
-def test_dft_out_files_match_golden_bytes(tmp_path):
-    # CI builds the same file from stdout, one "# engine kind" line per run.
-    inputs = GOLDEN / "dft"
+def report(*argv) -> bytes:
+    """stdout of ``primeconv *argv`` in a fresh process; it must exit 0 and
+    write nothing to stderr."""
+    run = run_fresh("-m", "primeconv", *argv)
+    assert (run.returncode, run.stderr) == (0, b""), (argv, run.stderr.decode())
+    return run.stdout
+
+
+def test_reports_match_golden_bytes():
+    for name, args in REPORTS.items():
+        assert report(*args) == (GOLDEN / name).read_bytes(), name
+
+
+def test_bench_report_runs():
+    assert report("bench", "--sizes", "5,7", "--trials", "3", "--format", "csv")
+
+
+def test_json_reports_parse(tmp_path):
+    # json and verification are imported on demand, here by processes that
+    # had not loaded them.
+    assert json.loads(report("table", "--format", "json"))
+    target = tmp_path / "verify.json"
+    assert report("verify", "--sizes", "5", "--trials", "2", "--format", "json",
+                  "--out", str(target)) == b"result: PASS (9/9 suites)\n"
+    assert json.loads(target.read_text())
+
+
+def golden_runs(tmp_path, command, inputs):
+    """Run ``primeconv command`` on each (kind, input files) pair per engine,
+    writing --out files, and return their bytes joined as the golden holds
+    them.  Any warning fails the run."""
     written = []
-    for engine in ConvolutionEngine:
-        for kind in DFT_KINDS:
-            target = tmp_path / f"{engine.value}-{kind}.txt"
-            assert main(["dft", str(inputs / f"{kind}.txt"), "--engine", engine.value,
-                         "--out", str(target)]) == 0
-            written.append(f"# {engine.value} {kind}\n".encode() + target.read_bytes())
-    assert b"".join(written) == (GOLDEN / "dft.txt").read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for engine in ConvolutionEngine:
+            for kind, files in inputs:
+                target = tmp_path / f"{engine.value}-{kind}.txt"
+                assert main([command, *map(str, files), "--engine", engine.value,
+                             "--out", str(target)]) == 0
+                written.append(f"# {engine.value} {kind}\n".encode() + target.read_bytes())
+    return b"".join(written)
+
+
+def test_convolve_out_files_match_golden_bytes(tmp_path):
+    inputs = GOLDEN / "convolve"
+    runs = golden_runs(tmp_path, "convolve", [
+        (kind, (inputs / f"{kind}_data.txt", inputs / f"{kind}_kernel.txt"))
+        for kind in CONVOLVE_KINDS])
+    assert runs == (GOLDEN / "convolve_cyclic.txt").read_bytes()
+
+
+def test_dft_out_files_match_golden_bytes(tmp_path):
+    runs = golden_runs(tmp_path, "dft", [
+        (kind, (GOLDEN / "dft" / f"{kind}.txt",)) for kind in DFT_KINDS])
+    assert runs == (GOLDEN / "dft.txt").read_bytes()

@@ -11,14 +11,12 @@ imports them where they are used, and ``verify`` loads no ``dataclasses``.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import primeconv
+from helpers import run_fresh
 from primeconv import core, fast, nesting, polycrt, transforms, verification
 
 PACKAGE = Path(primeconv.__file__).parent
@@ -132,13 +130,9 @@ def load_steps(tmp_path_factory):
     folder = tmp_path_factory.mktemp("load_probe")
     samples = folder / "samples.txt"
     samples.write_text("1\n2\n0.5 -1\n-3\n0\n")
-    package_root = str(PACKAGE.resolve().parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-c", LOAD_PROBE, str(samples), str(folder / "out.txt")],
-                         capture_output=True, text=True, timeout=120, env=env)
-    assert run.returncode == 0, run.stderr
-    return ast.literal_eval(run.stderr.splitlines()[-1])
+    run = run_fresh("-c", LOAD_PROBE, str(samples), str(folder / "out.txt"))
+    assert run.returncode == 0, run.stderr.decode()
+    return ast.literal_eval(run.stderr.decode().splitlines()[-1])
 
 
 @pytest.mark.parametrize("step", ["import primeconv", "import primeconv.cli", "dft"])

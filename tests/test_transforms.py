@@ -258,6 +258,25 @@ def test_rader_builds_each_engine_plan_once_per_prime(cold_rader_runners, monkey
     assert built == ["plan_create", "two_factor_plan"]
 
 
+def test_rader_runner_lookup_hashes_the_twiddles_once(cold_rader_runners):
+    # The runner is kept by the kernel's value; finding it again must not
+    # hash all p - 1 twiddles on every call.
+    hashed = []
+
+    class HashCounted(complex):
+        def __hash__(self):
+            hashed.append(self)
+            return complex.__hash__(self)
+
+    plan = dft_plan(13)
+    counted = DftPlan(*plan[:4], Signal(HashCounted(v) for v in plan.kernel))
+    data = complex_samples(rng_for(49), 13)
+    first = rader_dft(counted, data)
+    for _ in range(2):
+        assert bits(rader_dft(counted, data)) == bits(first)
+    assert len(hashed) <= len(plan.kernel)
+
+
 @pytest.mark.parametrize("engine, name", [
     (ConvolutionEngine.DIRECT, "direct_cyclic_convolution"),
     (ConvolutionEngine.FAST_PRIME, "fast_cyclic_convolution"),
