@@ -352,10 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification suites")
     _add_common(verify, sizes="2-16,23,31", trials=20)
     verify.add_argument("--tol", type=float, default=None,
-                        help="override every floating-point suite tolerance")
+                        help="override the tolerance of every floating-point suite: "
+                             "oracle-equivalence-*, crt-round-trip and rader-vs-naive")
     verify.add_argument("--inject-fault", action="store_true",
                         help="plan fast-prime from a kernel with one sample off by 1e-3, "
-                             "to prove the suites can fail")
+                             "so that both oracle-equivalence suites fail")
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="wall-clock and ratio report")

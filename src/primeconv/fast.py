@@ -84,7 +84,7 @@ def plan_create(kernel) -> "FastPlan | NestedPlan":
     All arithmetic here depends on the kernel only, so it is precomputation
     and contributes nothing to execution tallies.
     """
-    return nest(*kernel_blocks(kernel), _block)
+    return nest(*kernel_blocks(kernel, FastPlan.engine), _block)
 
 
 def _execute(plan: FastPlan, y, tally: OpTally):
@@ -198,7 +198,7 @@ def predicted_counts(n: int) -> tuple[int, int]:
     A block of length q costs M(q) = q(q-1)/2 + 1 and A(q) = 3q(q-1)/2 + 1;
     nesting q over m costs M(q)M(m) and A(q)m + M(q)A(m).
     """
-    return nested_counts(n, _block_counts)
+    return nested_counts(n, _block_counts, FastPlan.engine)
 
 
 def multiplication_lower_bound(n: int) -> int:

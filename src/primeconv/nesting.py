@@ -62,17 +62,17 @@ def block_lengths(n: int) -> tuple[int, ...]:
     return tuple(sorted(parts))
 
 
-def require_length(n: int) -> None:
+def require_length(n: int, engine: str) -> None:
     if n < 2:
-        raise ValueError(f"need length >= 2, got {n}")
+        raise ValueError(f"{engine} needs length >= 2, got {n}")
 
 
-def kernel_blocks(kernel) -> tuple[tuple, tuple[int, ...]]:
+def kernel_blocks(kernel, engine: str) -> tuple[tuple, tuple[int, ...]]:
     """The samples of a kernel of length n >= 2 and the coprime prime-power
-    parts of n, ascending: what ``nest`` builds a plan from."""
+    parts of n, ascending: what ``nest`` builds ``engine``'s plan from."""
     b = as_signal(kernel).samples
     n = len(b)
-    require_length(n)
+    require_length(n, engine)
     if is_prime(n):  # one block, without factoring n: the common case
         return b, (n,)
     return b, block_lengths(n)
@@ -163,7 +163,7 @@ def run_plan(plan, data, tally: OpTally | None) -> Signal:
                          f"was finite, but the result has a {err}") from None
 
 
-def nested_counts(n: int, block_counts) -> tuple[int, int]:
+def nested_counts(n: int, block_counts, engine: str) -> tuple[int, int]:
     """(multiplications, additions) of a length-n run nested over the
     prime-power parts of n.
 
@@ -172,8 +172,9 @@ def nested_counts(n: int, block_counts) -> tuple[int, int]:
     inner runs when nested, its multiplications by a constant, which
     become m lane mults, and its additions, which become m lane adds.  So
     M(q x m) = P(q)M(m) + S(q)m and A(q x m) = A(q)m + P(q)A(m).
+    ``engine`` is the name a length below 2 is reported under.
     """
-    require_length(n)
+    require_length(n, engine)
     *outer, m = block_lengths(n)
     products, scalings, adds = block_counts(m)
     mults = products + scalings

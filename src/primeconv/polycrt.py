@@ -84,7 +84,7 @@ def poly_mul(a, b, tally: OpTally | None = None) -> list:
 def two_factor_system(n: int) -> float:
     """The one per-length constant of the two-factor engine: 1/n, the
     inverse of the all-ones factor's value at x = 1."""
-    require_length(n)
+    require_length(n, TwoFactorPlan.engine)
     return 1.0 / n
 
 
@@ -169,7 +169,7 @@ def two_factor_plan(kernel) -> "TwoFactorPlan | NestedPlan":
     All arithmetic here depends on the kernel only, so it is precomputation
     and contributes nothing to execution tallies.
     """
-    return nest(*kernel_blocks(kernel), _block)
+    return nest(*kernel_blocks(kernel, TwoFactorPlan.engine), _block)
 
 
 def winograd_two_factor_convolution(plan: "TwoFactorPlan | NestedPlan", data,
@@ -202,4 +202,4 @@ def two_factor_predicted_counts(n: int) -> tuple[int, int]:
     One block costs ((n-1)^2 + 2, n^2 + 2n - 4).  Nesting q over m costs
     M(q x m) = ((q-1)^2 + 1)M(m) + m and A(q x m) = A(q)m + ((q-1)^2 + 1)A(m).
     """
-    return nested_counts(n, _block_counts)
+    return nested_counts(n, _block_counts, TwoFactorPlan.engine)

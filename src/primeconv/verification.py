@@ -5,6 +5,13 @@ Production code never builds these matrices; they exist so the optimized
 paths can be checked against first principles: the shift operator as an
 explicit matrix, the seed-column matrix behind the identity decomposition,
 and the plain cyclic matrix form of convolution.
+
+The shift and seed-column matrices hold integers, so on rational inputs
+the oracles are exact.  ``verify`` draws real samples, converts them to
+``Fraction`` without rounding, and checks the paper's matrix-form lemmas
+(pair-table antisymmetry, zero-sum corrections, the identity decomposition
+and the seed matrix's rank) as exact identities; only the equivalence,
+CRT and Rader suites compare floats against a tolerance.
 """
 
 import math
@@ -52,7 +59,7 @@ def reverse_permute(signal) -> tuple:
 def block_plan(kernel) -> FastPlan:
     """Build a single-block fast-prime plan for a kernel of length n >= 2,
     whatever the factors of n; the pair-table tooling is defined on these."""
-    return _block(kernel_blocks(kernel)[0])
+    return _block(kernel_blocks(kernel, FastPlan.engine)[0])
 
 
 class ConvolutionTrace(NamedTuple):
@@ -88,12 +95,12 @@ def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
 
 def shift_matrix(n: int) -> list:
     """The cyclic shift operator as an explicit n x n matrix."""
-    return [[1.0 if r == (c + 1) % n else 0.0 for c in range(n)] for r in range(n)]
+    return [[1 if r == (c + 1) % n else 0 for c in range(n)] for r in range(n)]
 
 
 def seed_vector(n: int) -> list:
     """(1 - n, 1, ..., 1): all-ones minus n at position zero; sums to zero."""
-    return [1.0 - n] + [1.0] * (n - 1)
+    return [1 - n] + [1] * (n - 1)
 
 
 def _dot(u, v):
@@ -149,16 +156,12 @@ def matrix_rank(matrix) -> int:
     return rank
 
 
-def identity_decomposition_residual(n: int) -> float:
-    """Max entrywise residual of (ones*ones^T - seed_column_matrix) / n vs I."""
+def identity_decomposition_residual(n: int) -> int:
+    """Largest entry, in absolute value, of the integer matrix
+    ones*ones^T - seed_column_matrix(n) - n*I: zero exactly when the
+    identity decomposition holds."""
     f = seed_column_matrix(n)
-    worst = 0.0
-    for r in range(n):
-        for c in range(n):
-            value = (1.0 - f[r][c]) / n
-            target = 1.0 if r == c else 0.0
-            worst = max(worst, abs(value - target))
-    return worst
+    return max(abs(1 - f[r][c] - (n if r == c else 0)) for r in range(n) for c in range(n))
 
 
 def explicit_plan_weights(kernel) -> tuple:
@@ -182,6 +185,19 @@ def correction_oracle(kernel, data) -> tuple:
     n = len(b)
     y = list(reverse_permute(data))
     return tuple(_dot(b, vec) / n for vec in _shift_powers(mat_vec(seed_column_matrix(n), y)))
+
+
+def pair_table_rows(plan: FastPlan, y) -> tuple:
+    """Row sums of the full pair table of a single-block plan on aligned
+    data ``y``, both triangles: row[i] = sum_j w[(i + j) mod n] * (y[j] - y[i]).
+
+    The engine folds the strict upper triangle only, so by antisymmetry its
+    component sums equal these rows.
+    """
+    w = plan.diff_weights
+    n = plan.length
+    return tuple(reduce(add, (w[(i + j) % n] * (y[j] - y[i]) for j in range(n)), 0)
+                 for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +238,11 @@ def _equivalence_suite(name, sizes, trials, seed, stream_index, tol, inject_faul
     )
 
 
+def _exact_suite(name, sizes, mismatches):
+    return SuiteResult(name=name, passed=mismatches == 0, max_error=None,
+                       detail=f"sizes={sizes} mismatches={mismatches}")
+
+
 def _count_suite(sizes, seed, stream_index):
     rng = substream(seed, stream_index)
     mismatches = 0
@@ -231,82 +252,46 @@ def _count_suite(sizes, seed, stream_index):
         for engine in ConvolutionEngine:
             tally = OpTally()
             cyclic_convolution(kernel, data, engine, tally)
-            if tally.counts != engine.predicted_counts(n):
-                mismatches += 1
-    return SuiteResult(
-        name="count-exactness",
-        passed=mismatches == 0,
-        max_error=None,
-        detail=f"sizes={_fmt_sizes(sizes)} mismatches={mismatches}",
-    )
+            mismatches += tally.counts != engine.predicted_counts(n)
+    return _exact_suite("count-exactness", _fmt_sizes(sizes), mismatches)
 
 
-def _antisymmetry_suite(seed, stream_index, tol):
+def _exact_draws(seed, stream_index, sizes):
+    """Per size, a kernel and data drawn as real_vector, converted exactly to Fraction."""
     rng = substream(seed, stream_index)
-    sizes = range(2, 17)
-    worst = 0.0
     for n in sizes:
-        plan = block_plan(real_vector(rng, n))
-        y = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        w = plan.diff_weights
-        table = [[w[(i + j) % n] * (y[j] - y[i]) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            worst = max(worst, abs(table[i][i]))
-            for j in range(i + 1, n):
-                worst = max(worst, abs(table[i][j] + table[j][i]))
-    return SuiteResult(
-        name="pair-table-antisymmetry",
-        passed=worst <= tol,
-        max_error=worst,
-        detail=f"sizes=2-16 tol={tol:.1e}",
-    )
+        yield [Fraction(v) for v in real_vector(rng, n)], [Fraction(v) for v in real_vector(rng, n)]
 
 
-def _component_sum_suite(seed, stream_index, tol):
-    rng = substream(seed, stream_index)
-    exact_failures = 0
-    worst = 0.0
-    for n in range(2, 17):
-        kernel = real_vector(rng, n)
-        data = real_vector(rng, n)
-        trace = trace_convolution(block_plan(kernel), data)
-        if reduce(add, trace.component_sums, 0) != 0.0:
-            exact_failures += 1
+def _antisymmetry_suite(seed, stream_index):
+    mismatches = 0
+    for kernel, data in _exact_draws(seed, stream_index, range(2, 17)):
+        plan = block_plan(kernel)
+        trace = trace_convolution(plan, data)
+        mismatches += trace.component_sums != pair_table_rows(plan, trace.aligned)
+    return _exact_suite("pair-table-antisymmetry", "2-16", mismatches)
+
+
+def _component_sum_suite(seed, stream_index):
+    mismatches = 0
+    for kernel, data in _exact_draws(seed, stream_index, range(2, 17)):
         oracle = correction_oracle(kernel, data)
-        worst = max(worst, max_relative_error(trace.component_sums, oracle))
-    return SuiteResult(
-        name="component-sums-zero",
-        passed=exact_failures == 0 and worst <= tol,
-        max_error=worst,
-        detail=f"sizes=2-16 exact_failures={exact_failures} oracle_tol={tol:.1e}",
-    )
+        engine = trace_convolution(block_plan(kernel), data).component_sums
+        mismatches += reduce(add, oracle, 0) != 0 or oracle != engine
+    return _exact_suite("component-sums-zero", "2-16", mismatches)
 
 
-def _identity_suite(tol):
-    worst = max(identity_decomposition_residual(n) for n in range(2, 13))
-    return SuiteResult(
-        name="identity-decomposition",
-        passed=worst <= tol,
-        max_error=worst,
-        detail=f"sizes=2-12 tol={tol:.1e}",
-    )
+def _identity_suite():
+    mismatches = sum(identity_decomposition_residual(n) != 0 for n in range(2, 13))
+    return _exact_suite("identity-decomposition", "2-12", mismatches)
 
 
-def _rank_suite(tol):
-    worst_sum = 0.0
-    rank_failures = 0
+def _rank_suite():
+    mismatches = 0
     for n in range(2, 13):
         f = seed_column_matrix(n)
-        for c in range(n):
-            worst_sum = max(worst_sum, abs(reduce(add, (f[r][c] for r in range(n)), 0)) / n)
-        if matrix_rank(f) != n - 1:
-            rank_failures += 1
-    return SuiteResult(
-        name="seed-matrix-rank",
-        passed=rank_failures == 0 and worst_sum <= tol,
-        max_error=worst_sum,
-        detail=f"sizes=2-12 rank_failures={rank_failures} colsum_tol={tol:.1e}",
-    )
+        mismatches += any(map(sum, zip(*f))) or matrix_rank(f) != n - 1
+    return _exact_suite("seed-matrix-rank", "2-12", mismatches)
 
 
 def _crt_suite(seed, stream_index, tol):
@@ -352,7 +337,10 @@ def run_suites(sizes, trials: int, seed: int, tolerance: float | None = None,
     """Run every verification suite and return their results in fixed order.
 
     ``tolerance`` overrides the per-suite default for every floating-point
-    suite when given; count checks always use exact integer equality.
+    suite when given: the two oracle-equivalence suites, crt-round-trip and
+    rader-vs-naive.  The other five are exact and take none: count-exactness
+    compares integer counts, and the four matrix-form suites compare
+    rationals.
     """
     sizes = tuple(sizes)
     if not sizes:
@@ -374,10 +362,10 @@ def run_suites(sizes, trials: int, seed: int, tolerance: float | None = None,
         _equivalence_suite("oracle-equivalence-complex", sizes, trials, seed, 2,
                            tol(1e-9), inject_fault, complex_data=True),
         _count_suite(sizes, seed, 3),
-        _antisymmetry_suite(seed, 4, tol(1e-12)),
-        _component_sum_suite(seed, 5, tol(1e-10)),
-        _identity_suite(tol(1e-12)),
-        _rank_suite(tol(1e-12)),
+        _antisymmetry_suite(seed, 4),
+        _component_sum_suite(seed, 5),
+        _identity_suite(),
+        _rank_suite(),
         _crt_suite(seed, 6, tol(1e-9)),
         _rader_suite(seed, 7, max(1, trials // 2), tol(1e-9)),
     ]

@@ -5,9 +5,6 @@ with ``pytest -s`` to see them) and asserts the same condition, so the
 suite gates CI while doubling as a human-readable report.
 """
 
-from functools import reduce
-from operator import add
-
 from helpers import complex_samples, real_samples, rng_for, run_fresh
 from primeconv.cli import main as cli_main
 from primeconv.core import (
@@ -31,13 +28,7 @@ from primeconv.transforms import (
     rader_dft,
     schoolbook_linear_convolution,
 )
-from primeconv.verification import (
-    block_plan,
-    identity_decomposition_residual,
-    matrix_rank,
-    seed_column_matrix,
-    trace_convolution,
-)
+from primeconv.verification import run_suites
 
 REFERENCE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -139,41 +130,16 @@ def test_3_two_factor_residue_path():
 
 
 def test_4_matrix_form_invariants():
-    rng = rng_for(104)
-    colsum_ok = True
-    rank_ok = True
-    identity_ok = True
-    sums_ok = True
-    antisym_ok = True
-    for n in range(2, 13):
-        f = seed_column_matrix(n)
-        for c in range(n):
-            if abs(sum(f[r][c] for r in range(n))) > 1e-12 * n:
-                colsum_ok = False
-        if matrix_rank(f) != n - 1:
-            rank_ok = False
-        if identity_decomposition_residual(n) > 1e-12:
-            identity_ok = False
-        kernel = real_samples(rng, n)
-        data = real_samples(rng, n)
-        plan = block_plan(kernel)  # the pair table is defined on one block
-        trace = trace_convolution(plan, data)
-        if reduce(add, trace.component_sums, 0) != 0.0:  # the engine's own fold order
-            sums_ok = False
-        # Independently recomputed full pairwise table must be antisymmetric.
-        y = list(trace.aligned)
-        w = plan.diff_weights
-        table = [[w[(i + j) % n] * (y[j] - y[i]) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if abs(table[i][j] + table[j][i]) > 1e-12:
-                    antisym_ok = False
-    ok = colsum_ok and rank_ok and identity_ok and sums_ok and antisym_ok
+    # verify states these lemmas exactly over Fraction; run_suites also runs
+    # the floating-point suites, which other tests assert.
+    structural = ("pair-table-antisymmetry", "component-sums-zero",
+                  "identity-decomposition", "seed-matrix-rank")
+    results = [r for r in run_suites((2,), 1, 104) if r.name in structural]
+    ok = (tuple(r.name for r in results) == structural
+          and all(r.passed and r.max_error is None for r in results))
     assert _report(
-        4, "matrix-form invariants (n <= 12)", ok,
-        f"column sums zero (tol 1e-12*n): {colsum_ok}; rank n-1: {rank_ok}; "
-        f"identity decomposition (tol 1e-12): {identity_ok}; correction sums "
-        f"exactly zero: {sums_ok}; pairwise-table antisymmetry (tol 1e-12): {antisym_ok}",
+        4, "matrix-form invariants, exact", ok,
+        "; ".join(f"{r.name}: {'PASS' if r.passed else 'FAIL'} ({r.detail})" for r in results),
     )
 
 

@@ -236,8 +236,16 @@ def test_verify_rejects_tolerance_that_is_not_finite_and_non_negative(capsys, to
 # Per suite, an ingredient only that suite uses, and a broken stand-in.
 BROKEN_INGREDIENTS = {
     "count-exactness": (ConvolutionEngine, "predicted_counts", lambda engine, n: (n * n, 0)),
+    "pair-table-antisymmetry": (verification, "pair_table_rows",
+                                lambda plan, y: (0,) * plan.length),
+    "component-sums-zero": (verification, "correction_oracle",
+                            lambda kernel, data: (0,) * len(kernel)),
     "identity-decomposition": (verification, "identity_decomposition_residual", lambda n: 1.0),
     "seed-matrix-rank": (verification, "matrix_rank", len),
+    # verification's own binding: the two-factor engine keeps the real one.
+    "crt-round-trip": (verification, "two_factor_recombine",
+                       lambda point, residue: [0.0] * (len(residue) + 1)),
+    "rader-vs-naive": (verification, "naive_dft", lambda data: [0.0] * len(data)),
 }
 
 
@@ -432,10 +440,11 @@ def test_non_finite_sample_names_its_file_and_line(tmp_path, capsys, command, sa
 def test_convolve_library_error_exit_2(tmp_path, capsys):
     data = tmp_path / "one.txt"
     write_samples(data, [1.0])
-    code, out, err = run_cli(capsys, "convolve", str(data), str(data), "--engine", "fast-prime")
-    assert code == 2
-    assert out == ""
-    assert err == "primeconv: error: need length >= 2, got 1\n"
+    for engine in ("fast-prime", "winograd-two-factor"):
+        code, out, err = run_cli(capsys, "convolve", str(data), str(data), "--engine", engine)
+        assert code == 2
+        assert out == ""
+        assert err == f"primeconv: error: {engine} needs length >= 2, got 1\n"
 
 
 def test_convolve_overflow_exit_2(tmp_path, capsys):
