@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 
 File format for convolve/dft: one sample per line, real values as a single
 number, complex values as "re im".  Blank lines and lines starting with
-``#`` are skipped.  Reports are deterministic for a fixed seed; wall-clock
-columns are the only exception and can be omitted with --no-timing.
+``#`` are skipped.  Reports are deterministic for a fixed seed, except
+bench's wall-clock columns.
 """
 
 import argparse
@@ -166,9 +166,9 @@ def _cases(args):
     Row i draws from ``substream(seed, i)``: the kernel, then ``--trials``
     data sets, so both reports see the same inputs for a given seed and row.
     One counted run on the first set must match the count model; then every
-    set is timed.  Yields (n, engine, counts, kernel, datasets, outputs,
-    times_ns), where counts are the measured (mults, adds), equal to the
-    model's.
+    set is timed, for bench.  Yields (n, engine, counts, kernel, datasets,
+    outputs, times_ns), where counts are the measured (mults, adds), equal
+    to the model's.
     """
     from .verification import real_vector, substream
 
@@ -200,7 +200,7 @@ def _cases(args):
 
 def cmd_table(args) -> int:
     rows = []
-    for n, engine, counts, kernel, datasets, outputs, times_ns in _cases(args):
+    for n, engine, counts, kernel, datasets, outputs, _ in _cases(args):
         worst = max(max_relative_error(got, direct_cyclic_convolution(kernel, data))
                     for got, data in zip(outputs, datasets))
         row = {
@@ -213,8 +213,6 @@ def cmd_table(args) -> int:
             "lower_bound": multiplication_lower_bound(n) if n >= 2 else "",
             "max_rel_err": f"{worst:.3e}",
         }
-        if not args.no_timing:
-            row["mean_ns"] = int(round(sum(times_ns) / len(times_ns)))
         if n in BEST_PUBLISHED_COUNTS:
             quoted = BEST_PUBLISHED_COUNTS[n]
             row["best_published_mults"] = quoted[0]
@@ -228,10 +226,8 @@ def cmd_table(args) -> int:
         rows.append(row)
 
     columns = ["n", "engine", "mults_measured", "adds_measured", "mults_predicted",
-               "adds_predicted", "lower_bound", "max_rel_err"]
-    if not args.no_timing:
-        columns.append("mean_ns")
-    columns += ["best_published_mults", "best_published_adds", "note"]
+               "adds_predicted", "lower_bound", "max_rel_err", "best_published_mults",
+               "best_published_adds", "note"]
     _emit(_format_rows(rows, columns, args.format), args.out)
     return 0
 
@@ -345,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(table, sizes="3,5,7,11,13,17,19,23", trials=5)
     table.add_argument("--engine", action="append", choices=engine_names,
                        help="engine to include (repeatable; default all)")
-    table.add_argument("--no-timing", action="store_true",
-                       help="omit the wall-clock column (byte-stable output)")
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="run the verification suites")

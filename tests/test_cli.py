@@ -41,9 +41,7 @@ def parse_samples(text):
 # --- table --------------------------------------------------------------------
 
 def test_table_csv_counts(capsys):
-    code, out, _ = run_cli(
-        capsys, "table", "--sizes", "3,5", "--format", "csv", "--no-timing"
-    )
+    code, out, _ = run_cli(capsys, "table", "--sizes", "3,5", "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     by_key = {(row["n"], row["engine"]): row for row in rows}
@@ -67,8 +65,7 @@ def test_table_csv_counts(capsys):
 
 def test_table_lower_bound_column(capsys):
     code, out, _ = run_cli(
-        capsys, "table", "--sizes", "11", "--engine", "fast-prime",
-        "--format", "csv", "--no-timing",
+        capsys, "table", "--sizes", "11", "--engine", "fast-prime", "--format", "csv",
     )
     assert code == 0
     row = next(csv.DictReader(io.StringIO(out)))
@@ -79,8 +76,7 @@ def test_table_lower_bound_column(capsys):
 
 def test_table_direct_17_is_annotated(capsys):
     code, out, _ = run_cli(
-        capsys, "table", "--sizes", "17", "--engine", "direct",
-        "--format", "csv", "--no-timing",
+        capsys, "table", "--sizes", "17", "--engine", "direct", "--format", "csv",
     )
     assert code == 0
     row = next(csv.DictReader(io.StringIO(out)))
@@ -89,23 +85,18 @@ def test_table_direct_17_is_annotated(capsys):
     assert "189" in row["note"] and "172" in row["note"]
 
 
-def test_table_no_timing_output_is_stable(capsys):
-    args = ("table", "--sizes", "3,5,7", "--format", "csv", "--no-timing")
+def test_table_output_is_stable(capsys):
+    # No wall-clock column: two runs print the same bytes.
+    args = ("table", "--sizes", "3,5,7", "--format", "csv")
     code_a, out_a, _ = run_cli(capsys, *args)
     code_b, out_b, _ = run_cli(capsys, *args)
     assert code_a == code_b == 0
     assert out_a == out_b
-
-
-def test_table_includes_timing_by_default(capsys):
-    code, out, _ = run_cli(capsys, "table", "--sizes", "3", "--format", "csv")
-    assert code == 0
-    row = next(csv.DictReader(io.StringIO(out)))
-    assert int(row["mean_ns"]) > 0
+    assert "mean_ns" not in out_a
 
 
 def test_table_markdown_shape(capsys):
-    code, out, _ = run_cli(capsys, "table", "--sizes", "3", "--no-timing")
+    code, out, _ = run_cli(capsys, "table", "--sizes", "3")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("| n | engine |")
@@ -116,7 +107,6 @@ def test_table_markdown_shape(capsys):
 def test_table_json_parses(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--sizes", "3", "--engine", "direct", "--format", "json",
-        "--no-timing",
     )
     assert code == 0
     rows = json.loads(out)
@@ -127,8 +117,7 @@ def test_table_json_parses(capsys):
 def test_table_out_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run_cli(
-        capsys, "table", "--sizes", "3", "--format", "csv", "--no-timing",
-        "--out", str(target),
+        capsys, "table", "--sizes", "3", "--format", "csv", "--out", str(target),
     )
     assert code == 0
     assert out == ""
@@ -137,15 +126,13 @@ def test_table_out_file(tmp_path, capsys):
 
 def test_bad_sizes_exit_2(capsys):
     for bad in ("abc", "5-3", "0", ""):
-        code, _, err = run_cli(capsys, "table", "--sizes", bad, "--no-timing")
+        code, _, err = run_cli(capsys, "table", "--sizes", bad)
         assert code == 2
         assert "primeconv: error:" in err
 
 
 def test_size_one_with_fast_engine_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys, "table", "--sizes", "1", "--engine", "fast-prime", "--no-timing"
-    )
+    code, _, err = run_cli(capsys, "table", "--sizes", "1", "--engine", "fast-prime")
     assert code == 2
     assert "length >= 2" in err
 
@@ -497,7 +484,7 @@ def test_unwritable_out_file_exit_2(tmp_path, capsys, command):
     write_samples(samples, [1.0, 2.0, 3.0])
     target = tmp_path / "missing" / "out.txt"
     argv = {
-        "table": ["table", "--sizes", "3", "--no-timing"],
+        "table": ["table", "--sizes", "3"],
         "convolve": ["convolve", str(samples), str(samples)],
         "dft": ["dft", str(samples)],
     }[command]

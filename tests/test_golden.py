@@ -1,12 +1,12 @@
 """The one place the CLI's reports are run and compared, warnings as errors.
 
-README promises that ``verify`` and ``table --no-timing`` print the same
-bytes for a fixed seed on every supported Python.  The files under
-``tests/golden/`` hold that output; regenerate them only for a change that
-is meant to alter a report, and say why in the change log.  ``table``,
-``verify`` and ``bench`` run in fresh ``python -W error`` processes, so a
-warning anywhere, on-demand imports included, fails them; so does stderr
-output, and the json reports must parse.
+README promises that ``verify`` and ``table`` print the same bytes for a
+fixed seed on every supported Python; only ``bench`` reports wall time.
+The files under ``tests/golden/`` hold that output; regenerate them only
+for a change that is meant to alter a report, and say why in the change
+log.  ``table``, ``verify`` and ``bench`` run in fresh ``python -W error``
+processes, so a warning anywhere, on-demand imports included, fails them;
+so does stderr output, and the json reports must parse.
 
 ``convolve_cyclic.txt`` holds what ``convolve`` prints for the inputs
 under ``tests/golden/convolve/``, per engine, after a ``# engine kind``
@@ -30,8 +30,7 @@ from primeconv.transforms import ConvolutionEngine
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = {
     "verify_seed42.txt": ["verify", "--seed", "42"],
-    "table_no_timing.csv": ["table", "--no-timing", "--sizes", "2-16,30,60,210,498",
-                            "--trials", "2", "--format", "csv"],
+    "table.csv": ["table", "--sizes", "2-16,30,60,210,498", "--trials", "2", "--format", "csv"],
 }
 CONVOLVE_KINDS = ("real", "complex", "zero", "long")
 DFT_KINDS = ("real_5", "complex_5", "real_13", "complex_13", "real_31", "complex_31")
