@@ -22,7 +22,7 @@ import time
 from functools import lru_cache
 from itertools import product
 
-from .core import Signal, direct_cyclic_convolution, is_prime, max_relative_error
+from .core import Signal, direct_cyclic_convolution, max_relative_error
 from .counting import OpTally
 from .fast import multiplication_lower_bound
 from .transforms import (
@@ -239,7 +239,6 @@ def cmd_verify(args) -> int:
         sizes=_parse_sizes(args.sizes),
         trials=args.trials,
         seed=args.seed,
-        tolerance=args.tol,
         inject_fault=args.inject_fault,
     )
     rows = [
@@ -296,11 +295,9 @@ def cmd_convolve(args) -> int:
             f"kernel length {len(kernel)} ({args.kernel}) does not match "
             f"input length {len(data)} ({args.input})"
         )
-    if args.require_prime and not is_prime(len(data)):
-        raise CliError(f"length {len(data)} is not prime (--require-prime)")
     engine = ConvolutionEngine.from_name(args.engine)
     if args.linear:
-        result = linear_convolution(kernel, data, engine, padding=args.padding)
+        result = linear_convolution(kernel, data, engine)
     else:
         result = cyclic_convolution(kernel, data, engine)
     _emit(_render_samples(result), args.out)
@@ -345,9 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the verification suites")
     _add_common(verify, sizes="2-16,23,31", trials=20)
-    verify.add_argument("--tol", type=float, default=None,
-                        help="override the tolerance of every floating-point suite: "
-                             "oracle-equivalence-*, crt-round-trip and rader-vs-naive")
     verify.add_argument("--inject-fault", action="store_true",
                         help="plan fast-prime from a kernel with one sample off by 1e-3, "
                              "so that both oracle-equivalence suites fail")
@@ -364,13 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     convolve.add_argument("kernel", help="kernel samples, one per line")
     convolve.add_argument("--engine", choices=engine_names, default="direct")
     convolve.add_argument("--linear", action="store_true",
-                          help="linear convolution via zero padding (first n samples)")
-    convolve.add_argument("--padding", choices=["prime", "double"], default="prime",
-                          help="cyclic embedding length for --linear: the smallest "
-                               "prime >= 2n-1 (default), or 2n, which can be far cheaper "
-                               "(n=250: fast-prime takes 124,252 mults at 499, 54,257 at 500)")
-    convolve.add_argument("--require-prime", action="store_true",
-                          help="reject composite input lengths")
+                          help="linear convolution (first n samples), zero padded to the "
+                               "length in 2n-1..4n-2 where the engine's count is least")
     convolve.add_argument("--out", default=None)
     convolve.set_defaults(func=cmd_convolve)
 

@@ -3,7 +3,8 @@
 Provides the engine protocol (``ConvolutionEngine``: kernel preparation and
 closed-form budgets), a naive DFT oracle, prime-length DFT via the Rader
 reindexing (one length p-1 cyclic convolution against a fixed twiddle
-kernel), and linear convolution by cyclic zero padding.
+kernel), and linear convolution by zero padding to the length where the
+chosen engine's predicted count is least.
 """
 
 import cmath
@@ -20,7 +21,6 @@ from .core import (
     direct_cyclic_convolution,
     direct_predicted_counts,
     is_prime,
-    next_prime,
     prime_factors,
 )
 from .fast import fast_cyclic_convolution, plan_create
@@ -199,22 +199,23 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     return Signal(out)
 
 
-def padded_length(n: int, padding: str = "prime") -> int:
-    """Cyclic length used to embed a length-n linear convolution.
+@lru_cache(maxsize=None, typed=True)
+def padded_length(n: int, engine: ConvolutionEngine = ConvolutionEngine.DIRECT) -> int:
+    """Cyclic length at which ``engine`` embeds a length-n linear convolution.
 
-    "prime" picks the smallest prime >= 2n - 1; "double" pads to exactly 2n.
-    Since composite lengths nest, "prime" can cost far more multiplications:
-    for n = 250, "prime" gives 499, where fast-prime takes 124,252 and
-    two-factor 248,006, while "double" gives 500, where they take 54,257
-    and 153,905 (by their predicted counts).
+    Any L >= 2n - 1 holds the full product without wrap-around.  This is the
+    first L in max(2, 2n - 1) .. max(2, 4n - 2) with the smallest
+    ``engine.predicted_counts(L)``, multiplications then additions.  The
+    window holds 2n and, by Bertrand's postulate, the smallest prime
+    >= 2n - 1, so L never costs more than either.  Direct, at n^2 mults,
+    always takes 2n - 1; fast-prime and two-factor nest over coprime
+    factors and take smooth lengths: for n = 250 both take 510, where
+    fast-prime tallies 12,056 mults against 124,252 at the prime 499.
+    Kept per (n, engine) per process, as ``dft_plan`` is.
     """
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    if padding == "prime":
-        return next_prime(max(2, 2 * n - 1))
-    if padding == "double":
-        return max(2, 2 * n)
-    raise ValueError(f"unknown padding policy {padding!r}; expected 'prime' or 'double'")
+    return min(range(max(2, 2 * n - 1), max(2, 4 * n - 2) + 1), key=engine.predicted_counts)
 
 
 def schoolbook_linear_convolution(kernel, data, full: bool = False) -> Signal:
@@ -230,7 +231,7 @@ def schoolbook_linear_convolution(kernel, data, full: bool = False) -> Signal:
         raise ValueError(f"kernel length {n} does not match data length {len(z)}")
     out = []
     for k in range(2 * n - 1):
-        acc = 0.0
+        acc = 0  # an int start keeps Fraction input exact
         for l in range(max(0, k - n + 1), min(k, n - 1) + 1):
             acc += b[l] * z[k - l]
         out.append(acc)
@@ -238,20 +239,25 @@ def schoolbook_linear_convolution(kernel, data, full: bool = False) -> Signal:
 
 
 def linear_convolution(kernel, data, engine: ConvolutionEngine = ConvolutionEngine.DIRECT,
-                       *, padding: str = "prime", full: bool = False) -> Signal:
+                       *, full: bool = False) -> Signal:
     """Linear convolution via zero-padded cyclic convolution.
 
-    Both inputs are zero padded to padded_length(n, padding), convolved
-    cyclically with the chosen engine, and truncated to the first n samples
-    (or the full 2n - 1 when full=True).
+    Both inputs are zero padded to ``padded_length(n, engine)``, the
+    engine's cheapest length that holds the full product, convolved
+    cyclically, and truncated to the first n samples (or the full 2n - 1
+    when full=True).  Each input pads with abs(its first sample) * 0: 0.0
+    for float and complex input, which keeps CPython's float-only fast
+    paths, and Fraction(0) for Fraction input, which stays exact through
+    direct and fast-prime.  Int zeros would not do for either: nesting can
+    gather padding into lanes of nothing else, where 0 / q is a float.
     """
     b = as_signal(kernel)
     z = as_signal(data)
     n = len(b)
     if len(z) != n:
         raise ValueError(f"kernel length {n} does not match data length {len(z)}")
-    m = padded_length(n, padding)
-    pad = (0.0,) * (m - n)
-    conv = cyclic_convolution(Signal(b.samples + pad), Signal(z.samples + pad), engine)
+    pad = padded_length(n, engine) - n
+    b, z = (Signal(s.samples + (abs(s[0]) * 0,) * pad) for s in (b, z))
+    conv = cyclic_convolution(b, z, engine)
     keep = 2 * n - 1 if full else n
     return Signal(conv.samples[:keep])

@@ -14,7 +14,6 @@ and the seed matrix's rank) as exact identities; only the equivalence,
 CRT and Rader suites compare floats against a tolerance.
 """
 
-import math
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -334,15 +333,13 @@ def _rader_suite(seed, stream_index, trials, tol):
     )
 
 
-def run_suites(sizes, trials: int, seed: int, tolerance: float | None = None,
-               inject_fault: bool = False) -> list:
+def run_suites(sizes, trials: int, seed: int, inject_fault: bool = False) -> list:
     """Run every verification suite and return their results in fixed order.
 
-    ``tolerance`` overrides the per-suite default for every floating-point
-    suite when given: the two oracle-equivalence suites, crt-round-trip and
-    rader-vs-naive.  The other five are exact and take none: count-exactness
-    compares integer counts, and the four matrix-form suites compare
-    rationals.
+    The floating-point suites each compare against their own tolerance: the
+    two oracle-equivalence suites, crt-round-trip and rader-vs-naive.  The
+    other five are exact: count-exactness compares integer counts, and the
+    four matrix-form suites compare rationals.
     """
     sizes = tuple(sizes)
     if not sizes:
@@ -352,22 +349,16 @@ def run_suites(sizes, trials: int, seed: int, tolerance: float | None = None,
             raise ValueError(f"verification sizes must be >= 2, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-
-    def tol(default: float) -> float:
-        return default if tolerance is None else tolerance
-
     return [
         _equivalence_suite("oracle-equivalence-real", sizes, trials, seed, 1,
-                           tol(1e-10), inject_fault, complex_data=False),
+                           1e-10, inject_fault, complex_data=False),
         _equivalence_suite("oracle-equivalence-complex", sizes, trials, seed, 2,
-                           tol(1e-9), inject_fault, complex_data=True),
+                           1e-9, inject_fault, complex_data=True),
         _count_suite(sizes, seed, 3),
         _antisymmetry_suite(seed, 4),
         _component_sum_suite(seed, 5),
         _identity_suite(),
         _rank_suite(),
-        _crt_suite(seed, 6, tol(1e-9)),
-        _rader_suite(seed, 7, max(1, trials // 2), tol(1e-9)),
+        _crt_suite(seed, 6, 1e-9),
+        _rader_suite(seed, 7, max(1, trials // 2), 1e-9),
     ]

@@ -195,31 +195,6 @@ def test_verify_passes_at_nested_lengths(capsys):
     assert "result: PASS (9/9 suites)" in out
 
 
-def test_verify_zero_tolerance_fails(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--sizes", "2-6", "--trials", "2", "--tol", "0"
-    )
-    assert code == 1
-    assert "result: FAIL" in out
-
-
-def test_verify_loose_tolerance_passes(capsys):
-    code, _, _ = run_cli(
-        capsys, "verify", "--sizes", "2-6", "--trials", "2", "--tol", "1.0"
-    )
-    assert code == 0
-
-
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-def test_verify_rejects_tolerance_that_is_not_finite_and_non_negative(capsys, tol):
-    # NaN or a negative bound fails every suite and blames the engines;
-    # inf passes every suite.  Both are usage errors.
-    code, out, err = run_cli(capsys, "verify", "--sizes", "5", "--trials", "2", "--tol", tol)
-    assert code == 2
-    assert out == ""
-    assert err == f"primeconv: error: tolerance must be finite and >= 0, got {float(tol)}\n"
-
-
 # Per suite, an ingredient only that suite uses, and a broken stand-in.
 BROKEN_INGREDIENTS = {
     "count-exactness": (ConvolutionEngine, "predicted_counts", lambda engine, n: (n * n, 0)),
@@ -387,18 +362,6 @@ def test_convolve_length_mismatch_names_both(tmp_path, capsys):
     code, _, err = run_cli(capsys, "convolve", str(data), str(kernel))
     assert code == 2
     assert "2" in err and "4" in err
-
-
-def test_convolve_require_prime_rejects_composite(tmp_path, capsys):
-    data = tmp_path / "data.txt"
-    kernel = tmp_path / "kernel.txt"
-    write_samples(data, [1.0, 2.0, 3.0, 4.0])
-    write_samples(kernel, [1.0, 0.0, 0.0, 0.0])
-    code, _, err = run_cli(
-        capsys, "convolve", str(data), str(kernel), "--require-prime"
-    )
-    assert code == 2
-    assert "not prime" in err
 
 
 def test_convolve_parse_error_names_line(tmp_path, capsys):

@@ -10,7 +10,9 @@ so does stderr output, and the json reports must parse.
 
 ``convolve_cyclic.txt`` holds what ``convolve`` prints for the inputs
 under ``tests/golden/convolve/``, per engine, after a ``# engine kind``
-line.  Convolution is pure IEEE arithmetic, so these bits, signed zeros
+line, and ``convolve_linear.txt`` what ``convolve --linear`` prints for
+them, each engine at its own padded length (fast-prime embeds n = 23 at
+60).  Convolution is pure IEEE arithmetic, so these bits, signed zeros
 included, are the same everywhere.  ``dft.txt`` holds the same for
 ``dft`` on ``tests/golden/dft/``: real and complex samples with mixed
 signed zeros at p = 5, 13 (Rader length 12 = 3 * 4) and 31.  Its bits also
@@ -32,7 +34,9 @@ REPORTS = {
     "verify_seed42.txt": ["verify", "--seed", "42"],
     "table.csv": ["table", "--sizes", "2-16,30,60,210,498", "--trials", "2", "--format", "csv"],
 }
-CONVOLVE_KINDS = ("real", "complex", "zero", "long")
+CONVOLVE_INPUTS = [(kind, (GOLDEN / "convolve" / f"{kind}_data.txt",
+                           GOLDEN / "convolve" / f"{kind}_kernel.txt"))
+                   for kind in ("real", "complex", "zero", "long")]
 DFT_KINDS = ("real_5", "complex_5", "real_13", "complex_13", "real_31", "complex_31")
 
 
@@ -64,30 +68,32 @@ def test_json_reports_parse(tmp_path):
 
 
 def golden_runs(tmp_path, command, inputs):
-    """Run ``primeconv command`` on each (kind, input files) pair per engine,
-    writing --out files, and return their bytes joined as the golden holds
-    them.  Any warning fails the run."""
+    """Run ``primeconv *command`` on each (kind, input files) pair per
+    engine, writing --out files, and return their bytes joined as the golden
+    holds them.  Any warning fails the run."""
     written = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for engine in ConvolutionEngine:
             for kind, files in inputs:
                 target = tmp_path / f"{engine.value}-{kind}.txt"
-                assert main([command, *map(str, files), "--engine", engine.value,
+                assert main([*command, *map(str, files), "--engine", engine.value,
                              "--out", str(target)]) == 0
                 written.append(f"# {engine.value} {kind}\n".encode() + target.read_bytes())
     return b"".join(written)
 
 
 def test_convolve_out_files_match_golden_bytes(tmp_path):
-    inputs = GOLDEN / "convolve"
-    runs = golden_runs(tmp_path, "convolve", [
-        (kind, (inputs / f"{kind}_data.txt", inputs / f"{kind}_kernel.txt"))
-        for kind in CONVOLVE_KINDS])
+    runs = golden_runs(tmp_path, ("convolve",), CONVOLVE_INPUTS)
     assert runs == (GOLDEN / "convolve_cyclic.txt").read_bytes()
 
 
+def test_convolve_linear_out_files_match_golden_bytes(tmp_path):
+    runs = golden_runs(tmp_path, ("convolve", "--linear"), CONVOLVE_INPUTS)
+    assert runs == (GOLDEN / "convolve_linear.txt").read_bytes()
+
+
 def test_dft_out_files_match_golden_bytes(tmp_path):
-    runs = golden_runs(tmp_path, "dft", [
+    runs = golden_runs(tmp_path, ("dft",), [
         (kind, (GOLDEN / "dft" / f"{kind}.txt",)) for kind in DFT_KINDS])
     assert runs == (GOLDEN / "dft.txt").read_bytes()

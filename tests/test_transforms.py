@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -9,7 +10,13 @@ import pytest
 from helpers import bits, complex_samples, real_samples, rng_for
 from primeconv import transforms
 from primeconv.cli import main as cli_main
-from primeconv.core import Signal, direct_cyclic_convolution, is_prime, max_relative_error
+from primeconv.core import (
+    Signal,
+    direct_cyclic_convolution,
+    is_prime,
+    max_relative_error,
+    next_prime,
+)
 from primeconv.counting import OpTally
 from primeconv.fast import CompositeLengthWarning, plan_create
 from primeconv.transforms import (
@@ -310,13 +317,26 @@ def test_rader_length_mismatch():
 # --- linear convolution --------------------------------------------------------------
 
 def test_padded_length_policies():
-    assert padded_length(3, "prime") == 5
-    assert padded_length(1, "prime") == 2
-    assert padded_length(8, "prime") == 17
-    assert padded_length(3, "double") == 6
-    assert padded_length(1, "double") == 2
-    with pytest.raises(ValueError, match="padding"):
-        padded_length(3, "triple")
+    # Each engine embeds at its cheapest length in max(2, 2n - 1) .. max(2, 4n - 2).
+    direct, fast, two_factor = ALL_ENGINES
+    assert [padded_length(250, engine) for engine in ALL_ENGINES] == [499, 510, 510]
+    assert [padded_length(500, engine) for engine in ALL_ENGINES] == [999, 1020, 1050]
+    assert direct.predicted_counts(499)[0] == 249_001
+    assert fast.predicted_counts(510) == (12_056, 42_928)
+    assert fast.predicted_counts(1020) == (42_196, 150_588)
+    assert two_factor.predicted_counts(510) == (44_455, 62_390)
+    assert two_factor.predicted_counts(1050) == (214_985, 268_970)
+    for n in range(1, 301):
+        lo, hi = max(2, 2 * n - 1), max(2, 4 * n - 2)
+        for engine in ALL_ENGINES:
+            length = padded_length(n, engine)
+            window = [engine.predicted_counts(m) for m in range(lo, hi + 1)]
+            assert window.index(min(window)) == length - lo, (n, engine)
+            counts = window[length - lo]
+            # Never above either fixed rule: the prime >= 2n - 1, or 2n.
+            assert counts <= engine.predicted_counts(next_prime(lo)), (n, engine)
+            assert counts <= engine.predicted_counts(max(2, 2 * n)), (n, engine)
+            assert engine is not direct or length == lo
     with pytest.raises(ValueError):
         padded_length(0)
 
@@ -328,19 +348,49 @@ def test_schoolbook_linear_fixed_example():
     assert max_relative_error(full, (4.0, 13.0, 28.0, 27.0, 18.0)) < 1e-12
 
 
-def test_linear_matches_schoolbook_every_engine_and_padding():
+def test_linear_matches_schoolbook_every_engine():
     rng = rng_for(44)
     for n in (1, 2, 3, 5, 8, 13, 20):
         kernel = real_samples(rng, n)
         data = real_samples(rng, n)
-        for padding in ("prime", "double"):
+        for engine in ALL_ENGINES:
+            got = linear_convolution(kernel, data, engine)
+            want = schoolbook_linear_convolution(kernel, data)
+            assert max_relative_error(got, want) < 1e-10, (n, engine)
+            got_full = linear_convolution(kernel, data, engine, full=True)
+            want_full = schoolbook_linear_convolution(kernel, data, full=True)
+            assert max_relative_error(got_full, want_full) < 1e-10
+
+
+def test_linear_keeps_exact_input_exact_and_float_bits():
+    # Fraction input pads with Fraction(0) and the schoolbook sums start at
+    # int 0, so both stay exact, through fast-prime's three-part nest at
+    # n = 13 (length 30 = 2 * 3 * 5) too.  Float and complex input, signed
+    # zeros included, keeps the bits of 0.0 padding and a 0.0 start.
+    rng = rng_for(45)
+    for n in (1, 2, 3, 5, 8, 13):
+        kernel = [Fraction(v) for v in real_samples(rng, n)]
+        data = [Fraction(v) for v in real_samples(rng, n)]
+        want = schoolbook_linear_convolution(kernel, data, full=True)
+        assert all(type(v) is Fraction for v in want)
+        for engine in (ConvolutionEngine.DIRECT, ConvolutionEngine.FAST_PRIME):
+            got = linear_convolution(kernel, data, engine, full=True)
+            assert got == want and all(type(v) is Fraction for v in got), (n, engine)
+
+        zeros = [-0.0 if k % 2 else 0.0 for k in range(n)]
+        for kernel, data in ((real_samples(rng, n), real_samples(rng, n)),
+                             (complex_samples(rng, n), complex_samples(rng, n)),
+                             (zeros, zeros[::-1]),
+                             ([complex(-0.0, v) for v in zeros], [complex(v, -0.0) for v in zeros])):
+            sums = [reduce(add, (kernel[l] * data[k - l]
+                                 for l in range(max(0, k - n + 1), min(k, n - 1) + 1)), 0.0)
+                    for k in range(2 * n - 1)]
+            assert bits(schoolbook_linear_convolution(kernel, data, full=True)) == bits(sums)
             for engine in ALL_ENGINES:
-                got = linear_convolution(kernel, data, engine, padding=padding)
-                want = schoolbook_linear_convolution(kernel, data)
-                assert max_relative_error(got, want) < 1e-10, (n, padding, engine)
-                got_full = linear_convolution(kernel, data, engine, padding=padding, full=True)
-                want_full = schoolbook_linear_convolution(kernel, data, full=True)
-                assert max_relative_error(got_full, want_full) < 1e-10
+                pad = [0.0] * (padded_length(n, engine) - n)
+                float_padded = cyclic_convolution(kernel + pad, data + pad, engine)
+                got = linear_convolution(kernel, data, engine, full=True)
+                assert bits(got) == bits(float_padded[:2 * n - 1]), (n, engine)
 
 
 def test_linear_length_mismatch():
