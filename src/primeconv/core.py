@@ -1,4 +1,4 @@
-"""Signals, primes, and the quadratic-time convolution oracle.
+"""Signals, factorisation, and the quadratic-time convolution oracle.
 
 Conventions used throughout the package: signals are zero-indexed, cyclic
 indices are reduced mod n, and the cyclic product of kernel ``b`` with data
@@ -28,10 +28,14 @@ class Signal(Sequence):
             raise ValueError("a signal needs at least one sample")
         # One C-level pass; cmath.isfinite takes ints, Fractions, Decimals,
         # floats and complex alike.  Only a failure walks the samples, to
-        # name the first bad one.
-        if not all(map(cmath.isfinite, samples)):
+        # name the first bad one or to pass an exact one beyond float range.
+        try:
+            finite = all(map(cmath.isfinite, samples))
+        except OverflowError:
+            finite = False
+        if not finite:
             for value in samples:
-                if not cmath.isfinite(value):
+                if not _is_finite(value):
                     raise ValueError(f"non-finite sample {value!r}")
         self._samples = samples
 
@@ -73,50 +77,39 @@ class Signal(Sequence):
         return f"Signal({list(self._samples)!r})"
 
 
+def _is_finite(value) -> bool:
+    try:
+        return cmath.isfinite(value)
+    except OverflowError:  # an int or Fraction too large for a float is finite
+        return True
+
+
 def as_signal(values) -> Signal:
     """Wrap an iterable of samples as a Signal (no copy if already one)."""
     return values if isinstance(values, Signal) else Signal(values)
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test, fine for the sizes this package meets."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    factor = 3
-    while factor * factor <= n:
-        if n % factor == 0:
-            return False
-        factor += 2
-    return True
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorisation of n >= 2 as ((p, e), ...), p ascending.
 
-
-def next_prime(n: int) -> int:
-    """Smallest prime greater than or equal to n."""
-    candidate = max(2, n)
-    while not is_prime(candidate):
-        candidate += 1
-    return candidate
-
-
-def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of n >= 2, ascending."""
+    One trial-division pass, 2 first and then the odd factors, fine for the
+    sizes this package meets.  The only place the package factors: n is
+    prime exactly when ``factorize(n) == ((n, 1),)``.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     factors = []
-    remaining = n
     factor = 2
-    while factor * factor <= remaining:
-        if remaining % factor == 0:
-            factors.append(factor)
-            while remaining % factor == 0:
-                remaining //= factor
+    while factor * factor <= n:
+        if n % factor == 0:
+            power = 0
+            while n % factor == 0:
+                n //= factor
+                power += 1
+            factors.append((factor, power))
         factor += 1 if factor == 2 else 2
-    if remaining > 1:
-        factors.append(remaining)
+    if n > 1:
+        factors.append((n, 1))
     return tuple(factors)
 
 

@@ -15,7 +15,7 @@ from itertools import chain
 from operator import add, neg, sub
 from typing import NamedTuple
 
-from .core import Signal, as_signal, is_prime, prime_factors
+from .core import Signal, as_signal, factorize
 from .counting import OpTally
 
 
@@ -52,14 +52,12 @@ class NestedPlan(NamedTuple):
 
 
 def block_lengths(n: int) -> tuple[int, ...]:
-    """The coprime prime-power parts of n >= 2, ascending."""
-    parts = []
-    for p in prime_factors(n):
-        part = p
-        while n % (part * p) == 0:
-            part *= p
-        parts.append(part)
-    return tuple(sorted(parts))
+    """The coprime prime-power parts p**e of n >= 2, read off ``factorize(n)``
+    and sorted ascending: (n,) when n is a prime power."""
+    parts = factorize(n)
+    if len(parts) == 1:
+        return (n,)
+    return tuple(sorted(p ** e for p, e in parts))
 
 
 def require_length(n: int, engine: str) -> None:
@@ -68,13 +66,12 @@ def require_length(n: int, engine: str) -> None:
 
 
 def kernel_blocks(kernel, engine: str) -> tuple[tuple, tuple[int, ...]]:
-    """The samples of a kernel of length n >= 2 and the coprime prime-power
-    parts of n, ascending: what ``nest`` builds ``engine``'s plan from."""
+    """The samples of a kernel of length n >= 2 and ``block_lengths(n)``, the
+    coprime prime-power parts of n, ascending: what ``nest`` builds
+    ``engine``'s plan from.  A prime n is factored like any other."""
     b = as_signal(kernel).samples
     n = len(b)
     require_length(n, engine)
-    if is_prime(n):  # one block, without factoring n: the common case
-        return b, (n,)
     return b, block_lengths(n)
 
 

@@ -20,8 +20,7 @@ from .core import (
     as_signal,
     direct_cyclic_convolution,
     direct_predicted_counts,
-    is_prime,
-    prime_factors,
+    factorize,
 )
 from .fast import fast_cyclic_convolution, plan_create
 from .fast import predicted_counts as fast_predicted_counts
@@ -112,16 +111,14 @@ def naive_dft(data) -> Signal:
 def find_primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod prime p >= 3.
 
-    g generates iff g^((p-1)/q) != 1 (mod p) for every prime q dividing
-    p - 1.
+    p is prime when ``factorize(p) == ((p, 1),)``, and g generates iff
+    g^((p-1)/q) != 1 (mod p) for every prime q of ``factorize(p - 1)``.
+    A prime has a generator, so the search always returns.
     """
-    if p < 3 or not is_prime(p):
+    if p < 3 or factorize(p) != ((p, 1),):
         raise ValueError(f"need a prime p >= 3, got {p}")
-    checks = [(p - 1) // q for q in prime_factors(p - 1)]
-    for g in range(2, p):
-        if all(pow(g, e, p) != 1 for e in checks):
-            return g
-    raise ArithmeticError(f"no primitive root found for {p}")  # unreachable for prime p
+    checks = [(p - 1) // q for q, _ in factorize(p - 1)]
+    return next(g for g in range(2, p) if all(pow(g, e, p) != 1 for e in checks))
 
 
 class DftPlan(NamedTuple):

@@ -24,7 +24,7 @@ from .core import Signal, as_signal, direct_cyclic_convolution, max_relative_err
 from .counting import OpTally, Scalar
 from .fast import FastPlan, _block, _execute
 from .nesting import kernel_blocks
-from .polycrt import _reduce_mod_all_ones, two_factor_recombine
+from .polycrt import two_factor_plan, two_factor_recombine
 from .transforms import ConvolutionEngine, cyclic_convolution, dft_plan, naive_dft, rader_dft
 
 
@@ -302,7 +302,8 @@ def _crt_suite(seed, stream_index, tol):
     for p in primes:
         for _ in range(10):
             target = real_vector(rng, p)
-            rebuilt = two_factor_recombine(reduce(add, target, 0), _reduce_mod_all_ones(target, p))
+            split = two_factor_plan(target)  # one block at a prime: sum and residue
+            rebuilt = two_factor_recombine(split.kernel_total, split.kernel_residue)
             worst = max(worst, max_relative_error(rebuilt, target))
     return SuiteResult(
         name="crt-round-trip",

@@ -1,5 +1,5 @@
 """Shared helpers for the test suite: seeded substreams, sample makers,
-bit-exact comparison and fresh interpreters."""
+bit-exact comparison, fresh interpreters and the next prime."""
 
 import os
 import subprocess
@@ -8,6 +8,7 @@ from pathlib import Path
 from random import Random
 
 import primeconv
+from primeconv.core import factorize
 from primeconv.verification import complex_vector as complex_samples
 from primeconv.verification import real_vector as real_samples
 from primeconv.verification import substream
@@ -49,3 +50,11 @@ def run_fresh(*args) -> subprocess.CompletedProcess:
         filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, "-W", "error", *args],
                           capture_output=True, timeout=600, env=env)
+
+
+def next_prime(n: int) -> int:
+    """Smallest prime greater than or equal to n."""
+    candidate = max(2, n)
+    while factorize(candidate) != ((candidate, 1),):
+        candidate += 1
+    return candidate

@@ -10,10 +10,8 @@ from primeconv.core import (
     as_signal,
     direct_cyclic_convolution,
     direct_predicted_counts,
-    is_prime,
+    factorize,
     max_relative_error,
-    next_prime,
-    prime_factors,
 )
 from primeconv.counting import OpTally
 from primeconv.verification import cyclic_matrix, mat_vec, matrix_rank, reverse_permute
@@ -53,8 +51,6 @@ def test_signal_rejects_empty_and_non_finite():
         Signal([1.0, 2j, complex(1.0, math.nan), math.inf])
     with pytest.raises(ValueError, match="non-finite sample -inf"):
         Signal([1, -math.inf])
-    with pytest.raises(OverflowError):
-        Signal([1.0, 10 ** 400])
     with pytest.raises(TypeError):
         Signal([1.0, "2"])
     with pytest.raises(TypeError):
@@ -64,6 +60,24 @@ def test_signal_rejects_empty_and_non_finite():
 def test_signal_accepts_exact_scalars():
     samples = (1, True, Fraction(1, 3), Decimal("2.5"), -0.0, complex(1.0, -2.0))
     assert Signal(samples).samples == samples
+
+
+def test_signal_accepts_exact_samples_beyond_float_range():
+    # Too large for a float, but finite: cmath.isfinite raises OverflowError
+    # on them, which must not escape.
+    big = 10 ** 400
+    samples = (big, Fraction(big, 3), 1.5)
+    assert Signal(samples).samples == samples
+    with pytest.raises(ValueError, match="non-finite sample inf"):
+        Signal([big, math.inf])
+    rng = rng_for(50)
+    n = 7
+    kernel, data = ([rng.choice((-1, 1)) * (rng.getrandbits(1000) | 1 << 999) for _ in range(n)]
+                    for _ in range(2))
+    tally = OpTally()
+    got = direct_cyclic_convolution(kernel, data, tally)
+    assert got == [sum(kernel[l] * data[(p - l) % n] for l in range(n)) for p in range(n)]
+    assert (tally.mults, tally.adds) == (49, 42)
 
 
 def test_signal_is_immutable():
@@ -89,25 +103,31 @@ def test_as_signal_passthrough():
 
 def test_is_prime_small_values():
     primes_below_40 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
-    for n in range(-3, 40):
-        assert is_prime(n) == (n in primes_below_40)
-
-
-def test_next_prime():
-    assert next_prime(1) == 2
-    assert next_prime(2) == 2
-    assert next_prime(8) == 11
-    assert next_prime(14) == 17
-    assert next_prime(100) == 101
+    for n in range(2, 40):
+        assert (factorize(n) == ((n, 1),)) == (n in primes_below_40)
+    for bad in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"need n >= 2, got {bad}"):
+            factorize(bad)
 
 
 def test_prime_factors():
-    assert prime_factors(2) == (2,)
-    assert prime_factors(12) == (2, 3)
-    assert prime_factors(97) == (97,)
-    assert prime_factors(360) == (2, 3, 5)
-    with pytest.raises(ValueError):
-        prime_factors(1)
+    assert factorize(2) == ((2, 1),)
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(97) == ((97, 1),)
+    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+    assert factorize(2 * 3 * 83) == ((2, 1), (3, 1), (83, 1))
+
+
+def test_factorize_matches_its_definition():
+    # For n = 2-2048: ascending primes, each prime by trial division, whose
+    # powers multiply back to n.
+    for n in range(2, 2049):
+        factors = factorize(n)
+        primes = [p for p, _ in factors]
+        assert primes == sorted(set(primes)), n
+        assert all(p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes), n
+        assert all(e >= 1 for _, e in factors), n
+        assert math.prod(p ** e for p, e in factors) == n, n
 
 
 # --- index maps -------------------------------------------------------------

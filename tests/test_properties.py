@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeconv.core import direct_cyclic_convolution, is_prime
+from primeconv.core import direct_cyclic_convolution, factorize
 from primeconv.transforms import ConvolutionEngine, dft_plan, naive_dft, rader_dft
 
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -35,7 +35,7 @@ unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=
 real = unit
 complex_ = st.builds(complex, unit, unit)
 SAMPLES = {"real": real, "complex": complex_, "mixed": st.one_of(real, complex_)}
-PRIMES = [p for p in range(3, 102) if is_prime(p)]
+PRIMES = [p for p in range(3, 102) if factorize(p) == ((p, 1),)]
 
 
 def error_bound(n: int, kernel, data) -> float:

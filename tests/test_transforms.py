@@ -1,24 +1,21 @@
 import cmath
 import math
-import warnings
 from fractions import Fraction
 from functools import reduce
 from operator import add
 
 import pytest
 
-from helpers import bits, complex_samples, real_samples, rng_for
+from helpers import bits, complex_samples, next_prime, real_samples, rng_for
 from primeconv import transforms
-from primeconv.cli import main as cli_main
 from primeconv.core import (
     Signal,
     direct_cyclic_convolution,
-    is_prime,
+    factorize,
     max_relative_error,
-    next_prime,
 )
 from primeconv.counting import OpTally
-from primeconv.fast import CompositeLengthWarning, plan_create
+from primeconv.fast import plan_create
 from primeconv.transforms import (
     ConvolutionEngine,
     DftPlan,
@@ -33,6 +30,7 @@ from primeconv.transforms import (
 )
 
 ALL_ENGINES = tuple(ConvolutionEngine)
+PRIMES_BELOW_600 = [p for p in range(3, 600) if factorize(p) == ((p, 1),)]
 
 
 # --- engine dispatch ----------------------------------------------------------
@@ -145,14 +143,19 @@ def test_primitive_root_known_values():
 
 
 def test_primitive_root_has_full_order():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        g = find_primitive_root(p)
+    # By brute force: find_primitive_root(p) is the smallest g whose powers
+    # reach every nonzero residue.
+    def generates(g, p):
         seen = set()
         value = 1
         for _ in range(p - 1):
             value = value * g % p
             seen.add(value)
-        assert len(seen) == p - 1  # g generates every nonzero residue
+        return len(seen) == p - 1
+
+    for p in PRIMES_BELOW_600:
+        g = find_primitive_root(p)
+        assert [h for h in range(2, g + 1) if generates(h, p)] == [g], p
 
 
 def test_primitive_root_rejects_bad_input():
@@ -186,7 +189,7 @@ def test_dft_plan_is_kept_per_prime_and_bad_lengths_still_raise():
 def test_dft_plan_matches_power_definition():
     # input_order[m] = g^-m, output_order[l] = g^l and kernel[t] =
     # exp(-2 pi i g^t / p), each power by pow(), as the plan defines them.
-    for p in filter(is_prime, range(3, 600)):
+    for p in PRIMES_BELOW_600:
         plan = dft_plan(p)
         g = find_primitive_root(p)
         g_inv = pow(g, p - 2, p)
@@ -214,22 +217,6 @@ def test_rader_accepts_real_input():
     plan = dft_plan(7)
     data = real_samples(rng, 7)
     assert max_relative_error(rader_dft(plan, data), naive_dft(data)) < 1e-9
-
-
-def test_rader_and_dft_cli_emit_no_composite_length_warning(tmp_path):
-    # Record every warning.  At p = 13 fast-prime nests 12 = 3 * 4 over a
-    # block of 4, a composite prime power.
-    data = complex_samples(rng_for(46), 13)
-    path = tmp_path / "data.txt"
-    path.write_text("".join(f"{v.real!r} {v.imag!r}\n" for v in data))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        plan = dft_plan(13)
-        for engine in ALL_ENGINES:
-            rader_dft(plan, data, engine)
-        argv = ["dft", str(path), "--engine", "fast-prime", "--out", str(tmp_path / "out.txt")]
-        assert cli_main(argv) == 0
-        assert not [w for w in caught if issubclass(w.category, CompositeLengthWarning)]
 
 
 def test_sample_sums_are_left_folds_on_every_python():
