@@ -235,12 +235,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     from .verification import run_suites
 
-    results = run_suites(
-        sizes=_parse_sizes(args.sizes),
-        trials=args.trials,
-        seed=args.seed,
-        inject_fault=args.inject_fault,
-    )
+    results = run_suites(sizes=_parse_sizes(args.sizes), trials=args.trials, seed=args.seed)
     rows = [
         {
             "suite": r.name,
@@ -342,9 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the verification suites")
     _add_common(verify, sizes="2-16,23,31", trials=20)
-    verify.add_argument("--inject-fault", action="store_true",
-                        help="plan fast-prime from a kernel with one sample off by 1e-3, "
-                             "so that both oracle-equivalence suites fail")
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="wall-clock and ratio report")

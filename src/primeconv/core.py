@@ -78,10 +78,22 @@ class Signal(Sequence):
 
 
 def _is_finite(value) -> bool:
+    # A sample that can answer for itself (Decimal) does: through float(), a
+    # finite Decimal beyond float range would round to inf.
+    is_finite = getattr(value, "is_finite", None)
+    if is_finite is not None:
+        return is_finite()
     try:
         return cmath.isfinite(value)
     except OverflowError:  # an int or Fraction too large for a float is finite
         return True
+
+
+def overflow_error(engine: str, n: int, err: ValueError) -> ValueError:
+    """The error an engine raises on finite input when ``Signal`` rejects its
+    length-n result with ``err``: it names the engine and n."""
+    return ValueError(f"the {engine} engine overflowed at n = {n}: the input was "
+                      f"finite, but the result has a {err}")
 
 
 def as_signal(values) -> Signal:
@@ -155,7 +167,10 @@ def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Sig
         out.append(acc)
     tally.mults += n * n
     tally.adds += n * (n - 1)
-    return Signal(out)
+    try:
+        return Signal(out)
+    except ValueError as err:
+        raise overflow_error("direct", n, err) from None
 
 
 def direct_predicted_counts(n: int) -> tuple[int, int]:

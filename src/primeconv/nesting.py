@@ -15,7 +15,7 @@ from itertools import chain
 from operator import add, neg, sub
 from typing import NamedTuple
 
-from .core import Signal, as_signal, factorize
+from .core import Signal, as_signal, factorize, overflow_error
 from .counting import OpTally
 
 
@@ -156,8 +156,7 @@ def run_plan(plan, data, tally: OpTally | None) -> Signal:
     try:
         return Signal(out)
     except ValueError as err:
-        raise ValueError(f"the {plan.engine} engine overflowed at n = {len(z)}: the input "
-                         f"was finite, but the result has a {err}") from None
+        raise overflow_error(plan.engine, len(z), err) from None
 
 
 def nested_counts(n: int, block_counts, engine: str) -> tuple[int, int]:

@@ -93,7 +93,7 @@ def _reduce_mod_all_ones(coeffs, n: int, tally: OpTally | None = None) -> list:
 
     First wrap exponents mod n (valid because the modulus divides x^n - 1),
     then eliminate the x^{n-1} term via x^{n-1} = -(x^{n-2} + ... + 1).
-    Returns exactly n - 1 coefficients.
+    Takes at least n - 1 coefficients and returns exactly n - 1.
     """
     if tally is None:
         tally = OpTally()
@@ -105,8 +105,6 @@ def _reduce_mod_all_ones(coeffs, n: int, tally: OpTally | None = None) -> list:
     if len(work) == n:
         work = list(map(sub, work[:n - 1], repeat(work[n - 1])))
         tally.adds += n - 1
-    else:
-        work = work + [0.0] * (n - 1 - len(work))
     return work
 
 

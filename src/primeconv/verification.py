@@ -215,28 +215,25 @@ def _fmt_sizes(sizes) -> str:
     return ",".join(str(n) for n in sizes)
 
 
-def _equivalence_suite(name, sizes, trials, seed, stream_index, tol, inject_fault, complex_data):
+def _equivalence_suite(name, sizes, trials, seed, stream_index, tol, complex_data):
     rng = substream(seed, stream_index)
     make = complex_vector if complex_data else real_vector
     worst = 0.0
     for n in sizes:
         kernel = make(rng, n)
-        # The injected fault plans fast-prime from a kernel with its first
-        # sample moved by 1e-3, which moves every output at every length.
-        fast_kernel = [kernel[0] + 1e-3, *kernel[1:]] if inject_fault else kernel
-        runners = (ConvolutionEngine.FAST_PRIME.prepare(fast_kernel),
+        runners = (ConvolutionEngine.FAST_PRIME.prepare(kernel),
                    ConvolutionEngine.WINOGRAD_TWO_FACTOR.prepare(kernel))
         for _ in range(trials):
             data = make(rng, n)
             want = direct_cyclic_convolution(kernel, data)
             for run in runners:
                 worst = max(worst, max_relative_error(run(data), want))
-    return SuiteResult(
-        name=name,
-        passed=worst <= tol,
-        max_error=worst,
-        detail=f"sizes={_fmt_sizes(sizes)} trials={trials} tol={tol:.1e}",
-    )
+    return _tolerance_suite(name, worst, tol, f"sizes={_fmt_sizes(sizes)} trials={trials}")
+
+
+def _tolerance_suite(name, worst, tol, detail):
+    return SuiteResult(name=name, passed=worst <= tol, max_error=worst,
+                       detail=f"{detail} tol={tol:.1e}")
 
 
 def _exact_suite(name, sizes, mismatches):
@@ -305,12 +302,7 @@ def _crt_suite(seed, stream_index, tol):
             split = two_factor_plan(target)  # one block at a prime: sum and residue
             rebuilt = two_factor_recombine(split.kernel_total, split.kernel_residue)
             worst = max(worst, max_relative_error(rebuilt, target))
-    return SuiteResult(
-        name="crt-round-trip",
-        passed=worst <= tol,
-        max_error=worst,
-        detail=f"primes={_fmt_sizes(primes)} trials=10 tol={tol:.1e}",
-    )
+    return _tolerance_suite("crt-round-trip", worst, tol, f"primes={_fmt_sizes(primes)} trials=10")
 
 
 def _rader_suite(seed, stream_index, trials, tol):
@@ -326,15 +318,11 @@ def _rader_suite(seed, stream_index, trials, tol):
             for engine in engines:
                 got = rader_dft(plan, data, engine)
                 worst = max(worst, max_relative_error(got, want))
-    return SuiteResult(
-        name="rader-vs-naive",
-        passed=worst <= tol,
-        max_error=worst,
-        detail=f"primes={_fmt_sizes(primes)} trials={trials} engines={len(engines)} tol={tol:.1e}",
-    )
+    return _tolerance_suite("rader-vs-naive", worst, tol,
+                            f"primes={_fmt_sizes(primes)} trials={trials} engines={len(engines)}")
 
 
-def run_suites(sizes, trials: int, seed: int, inject_fault: bool = False) -> list:
+def run_suites(sizes, trials: int, seed: int) -> list:
     """Run every verification suite and return their results in fixed order.
 
     The floating-point suites each compare against their own tolerance: the
@@ -352,9 +340,9 @@ def run_suites(sizes, trials: int, seed: int, inject_fault: bool = False) -> lis
         raise ValueError(f"trials must be >= 1, got {trials}")
     return [
         _equivalence_suite("oracle-equivalence-real", sizes, trials, seed, 1,
-                           1e-10, inject_fault, complex_data=False),
+                           1e-10, complex_data=False),
         _equivalence_suite("oracle-equivalence-complex", sizes, trials, seed, 2,
-                           1e-9, inject_fault, complex_data=True),
+                           1e-9, complex_data=True),
         _count_suite(sizes, seed, 3),
         _antisymmetry_suite(seed, 4),
         _component_sum_suite(seed, 5),

@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import Phase, settings
 
 from primeconv import transforms
+
+# A failing property reports its shrunk case without the explain phase, which
+# re-runs that case once per drawn sample and can take minutes.  Every
+# property test's own @settings inherits this profile.
+settings.register_profile("no-explain",
+                          phases=[phase for phase in Phase if phase is not Phase.explain])
+settings.load_profile("no-explain")
 
 
 @pytest.fixture

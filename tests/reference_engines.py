@@ -180,8 +180,6 @@ def reduce_mod_all_ones(coeffs, n: int, ring: Ring) -> list:
     if len(work) == n:
         top = work[n - 1]
         work = [ring.sub(work[j], top) for j in range(n - 1)]
-    else:
-        work = work + [0.0] * (n - 1 - len(work))
     return work
 
 

@@ -2,12 +2,14 @@ import argparse
 import csv
 import io
 import json
+import re
 
 import pytest
 
 from helpers import complex_samples, rng_for
 from primeconv import transforms, verification
 from primeconv.cli import build_parser, main
+from primeconv.core import Signal
 from primeconv.transforms import ConvolutionEngine, naive_dft
 
 
@@ -164,26 +166,6 @@ def test_verify_is_deterministic(capsys):
     assert out_a == out_b
 
 
-def test_verify_inject_fault_fails(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--sizes", "2-6,12,30", "--trials", "2", "--inject-fault"
-    )
-    assert code == 1
-    assert "FAIL" in out
-    assert "result: FAIL" in out
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 30, 499])
-def test_verify_inject_fault_fails_at_each_size(capsys, n):
-    # One size per run: in a sweep, a fault missed at one size is hidden by
-    # the sizes that catch it.
-    code, out, _ = run_cli(
-        capsys, "verify", "--sizes", str(n), "--trials", "2", "--inject-fault"
-    )
-    assert code == 1, out
-    assert "result: FAIL" in out
-
-
 def test_verify_passes_at_nested_lengths(capsys):
     # Composite lengths with two to four coprime parts and with prime-power
     # parts, and the benchmark's prime 499 beside 498 = 2 * 3 * 83.
@@ -211,15 +193,45 @@ BROKEN_INGREDIENTS = {
 }
 
 
+def failed_suites(out: str, passed: int) -> list:
+    """The suites a csv ``verify`` report fails, after checking its summary line."""
+    table, summary = out.split("result: ")
+    assert summary == f"FAIL ({passed}/9 suites)\n"
+    return [row["suite"] for row in csv.DictReader(io.StringIO(table)) if row["status"] == "FAIL"]
+
+
 @pytest.mark.parametrize("suite", BROKEN_INGREDIENTS)
 def test_verify_fails_only_the_suite_whose_ingredient_breaks(capsys, monkeypatch, suite):
     monkeypatch.setattr(*BROKEN_INGREDIENTS[suite])
     code, out, _ = run_cli(capsys, "verify", "--sizes", "5", "--trials", "2", "--format", "csv")
-    table, summary = out.split("result: ")
     assert code == 1
-    assert summary == "FAIL (8/9 suites)\n"
-    failed = [row["suite"] for row in csv.DictReader(io.StringIO(table)) if row["status"] == "FAIL"]
-    assert failed == [suite]
+    assert failed_suites(out, 8) == [suite]
+
+
+@pytest.fixture
+def fast_prime_fault(monkeypatch):
+    """Move output sample 0 of every fast-prime run by 1e-3, through the engine
+    hook that perfbench's fault injection also wraps."""
+    original = transforms.fast_cyclic_convolution
+
+    def perturbed(plan, data, tally=None):
+        out = list(original(plan, data, tally))
+        out[0] += 1e-3
+        return Signal(out)
+
+    monkeypatch.setattr(transforms, "fast_cyclic_convolution", perturbed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 30, 499])
+def test_verify_inject_fault_fails_at_each_size(capsys, fast_prime_fault, n):
+    # One size per run: in a sweep, a fault missed at one size is hidden by
+    # the sizes that catch it.  Exactly the suites that run fast-prime
+    # against an oracle fail; its counts are untouched.
+    code, out, _ = run_cli(capsys, "verify", "--sizes", str(n), "--trials", "2",
+                           "--format", "csv")
+    assert code == 1
+    assert failed_suites(out, 6) == ["oracle-equivalence-real", "oracle-equivalence-complex",
+                                     "rader-vs-naive"]
 
 
 def test_verify_out_file_still_prints_summary(tmp_path, capsys):
@@ -233,11 +245,9 @@ def test_verify_out_file_still_prints_summary(tmp_path, capsys):
     assert "oracle-equivalence-real" in target.read_text()
 
 
-def test_verify_rejects_zero_trials_even_with_injected_fault(capsys):
+def test_verify_rejects_zero_trials_even_with_injected_fault(capsys, fast_prime_fault):
     # Zero trials would compare nothing and report the fault as PASS.
-    code, out, err = run_cli(
-        capsys, "verify", "--sizes", "5", "--trials", "0", "--inject-fault"
-    )
+    code, out, err = run_cli(capsys, "verify", "--sizes", "5", "--trials", "0")
     assert code == 2
     assert out == ""
     assert err == "primeconv: error: trials must be >= 1, got 0\n"
@@ -399,14 +409,15 @@ def test_convolve_library_error_exit_2(tmp_path, capsys):
 
 def test_convolve_overflow_exit_2(tmp_path, capsys):
     kernel, data = tmp_path / "kernel.txt", tmp_path / "data.txt"
-    write_samples(kernel, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    write_samples(data, [1e308, -1e308] * 3)
-    code, out, err = run_cli(capsys, "convolve", str(kernel), str(data),
-                             "--engine", "winograd-two-factor")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("primeconv: error: the winograd-two-factor engine overflowed at n = 6: "
-                          "the input was finite")
+    write_samples(kernel, [2.0, 0.0, 0.0])
+    write_samples(data, [1e308] * 3)
+    for engine in ConvolutionEngine:
+        code, out, err = run_cli(capsys, "convolve", str(data), str(kernel),
+                                 "--engine", engine.value)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"primeconv: error: the {engine.value} engine overflowed at n = 3: "
+                            "the input was finite, but the result has a non-finite sample "
+                            "(inf|nan)\n", err), err
 
 
 def test_convolve_missing_file(tmp_path, capsys):

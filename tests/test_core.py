@@ -80,6 +80,21 @@ def test_signal_accepts_exact_samples_beyond_float_range():
     assert (tally.mults, tally.adds) == (49, 42)
 
 
+def test_signal_accepts_finite_decimals_beyond_float_range():
+    # float() rounds a finite Decimal beyond float range to inf, so Signal
+    # asks the Decimal itself.
+    big = Decimal("1e400")
+    assert Signal([big]).samples == (big,)
+    n = 5
+    kernel = [Decimal(f"{k + 1}e400") for k in range(n)]
+    data = [Decimal(f"{3 - k}e-7") for k in range(n)]
+    assert direct_cyclic_convolution(kernel, data) == [
+        sum(kernel[l] * data[(p - l) % n] for l in range(n)) for p in range(n)]
+    for bad in ("Infinity", "NaN"):
+        with pytest.raises(ValueError, match=rf"^non-finite sample Decimal\('{bad}'\)$"):
+            Signal([big, Decimal(bad)])
+
+
 def test_signal_is_immutable():
     s = Signal([1.0])
     with pytest.raises((AttributeError, TypeError)):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
 from operator import add
@@ -19,7 +20,6 @@ from primeconv.nesting import NestedPlan, block_lengths, nest
 from primeconv.transforms import ConvolutionEngine, cyclic_convolution
 from primeconv.verification import (
     block_plan,
-    correction_oracle,
     explicit_plan_weights,
     trace_convolution,
 )
@@ -35,21 +35,20 @@ def test_plan_fixed_example():
 
 
 def test_plan_weights_match_matrix_definition():
-    # The closed form mean - b[i] must agree with the materialized
-    # (kernel . shift^i seed) / n definition it was derived from.
+    # The closed form mean - b[i] must equal the materialized
+    # (kernel . shift^i seed) / n definition it was derived from, exactly
+    # over the rationals.
     rng = rng_for(10)
     for n in range(2, 17):
-        kernel = real_samples(rng, n)
-        plan = block_plan(kernel)
-        explicit = explicit_plan_weights(kernel)
-        assert max(abs(a - b) for a, b in zip(plan.diff_weights, explicit)) < 1e-12
+        kernel = [Fraction(v) for v in real_samples(rng, n)]
+        assert block_plan(kernel).diff_weights == explicit_plan_weights(kernel)
 
 
 def test_plan_weights_sum_to_zero():
     rng = rng_for(11)
     for n in range(2, 20):
-        plan = block_plan(real_samples(rng, n))
-        assert abs(sum(plan.diff_weights)) < 1e-12
+        plan = block_plan([Fraction(v) for v in real_samples(rng, n)])
+        assert sum(plan.diff_weights) == 0
 
 
 def test_plan_rejects_length_one():
@@ -298,17 +297,6 @@ def test_trace_component_sums_cancel_exactly():
         plan = block_plan(real_samples(rng, n))
         trace = trace_convolution(plan, real_samples(rng, n))
         assert reduce(add, trace.component_sums, 0) == 0.0
-
-
-def test_trace_components_match_matrix_oracle():
-    rng = rng_for(19)
-    for n in range(2, 17):
-        kernel = real_samples(rng, n)
-        data = real_samples(rng, n)
-        trace = trace_convolution(block_plan(kernel), data)
-        oracle = correction_oracle(kernel, data)
-        scale = max(1.0, max(abs(v) for v in oracle))
-        assert max(abs(a - b) for a, b in zip(trace.component_sums, oracle)) / scale < 1e-10
 
 
 def test_trace_base_term():

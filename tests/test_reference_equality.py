@@ -124,8 +124,10 @@ def test_poly_mul_matches_reference_loop(make):
 def test_reduce_mod_all_ones_matches_reference_loop(make):
     rng = rng_for(804)
     for n in range(2, 41):
-        for size in (1, n - 1, n, n + 1, 2 * n - 3, 2 * n):
-            coeffs = make(rng, max(1, size))
+        # Every caller passes at least n - 1 coefficients: the product's
+        # 2n - 3 at n = 2, otherwise n or more.
+        for size in (n - 1, n, n + 1, 2 * n - 3, 2 * n):
+            coeffs = make(rng, size)
             for values in (coeffs, signed_zeros(len(coeffs), n)):
                 tally, want_tally = OpTally(), OpTally()
                 got = _reduce_mod_all_ones(values, n, tally)

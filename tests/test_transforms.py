@@ -85,15 +85,13 @@ def test_default_engine_is_direct():
 
 
 @pytest.mark.parametrize("n", [5, 6], ids=["one-block", "nested"])
-@pytest.mark.parametrize("engine", [ConvolutionEngine.FAST_PRIME,
-                                    ConvolutionEngine.WINOGRAD_TWO_FACTOR],
-                         ids=["fast-prime", "two-factor"])
+@pytest.mark.parametrize("engine", list(ConvolutionEngine),
+                         ids=["direct", "fast-prime", "two-factor"])
 def test_overflow_names_the_engine_and_length(engine, n):
-    # Finite input whose sums overflow: direct is exact, the reduced engines
-    # are not, and they say so instead of naming a sample of their own.
-    kernel = [1.0] + [0.0] * (n - 1)
+    # Finite input whose result overflows: every engine, direct included,
+    # says so instead of naming a sample of its own.
+    kernel = [2.0] + [0.0] * (n - 1)
     data = [1e308 if k % 2 == 0 else -1e308 for k in range(n)]
-    assert cyclic_convolution(kernel, data) == data
     with pytest.raises(ValueError, match=rf"^the {engine.value} engine overflowed at "
                                          rf"n = {n}: the input was finite, but the result "
                                          rf"has a non-finite sample (inf|nan)$"):
