@@ -52,6 +52,10 @@ class CliError(Exception):
     """Raised for usage and parse errors; mapped to exit code 2."""
 
 
+class CountModelError(Exception):
+    """A counted run off its count model: a verification failure, exit code 1."""
+
+
 def _parse_sizes(text: str) -> tuple:
     sizes = []
     for part in text.split(","):
@@ -184,7 +188,7 @@ def _cases(args):
         runner(datasets[0], tally)
         predicted = engine.predicted_counts(n)
         if tally.counts != predicted:
-            raise RuntimeError(
+            raise CountModelError(
                 f"count model out of sync for {engine.value} at n={n}: "
                 f"measured {tally.counts}, predicted {predicted}"
             )
@@ -210,7 +214,7 @@ def cmd_table(args) -> int:
             "adds_measured": counts[1],
             "mults_predicted": counts[0],
             "adds_predicted": counts[1],
-            "lower_bound": multiplication_lower_bound(n) if n >= 2 else "",
+            "lower_bound": multiplication_lower_bound(n),
             "max_rel_err": f"{worst:.3e}",
         }
         if n in BEST_PUBLISHED_COUNTS:
@@ -259,7 +263,7 @@ def cmd_bench(args) -> int:
     rows = []
     for n, engine, counts, _, _, _, times_ns in _cases(args):
         direct_mults = ConvolutionEngine.DIRECT.predicted_counts(n)[0]
-        bound = multiplication_lower_bound(n) if n >= 2 else ""
+        bound = multiplication_lower_bound(n)
         rows.append({
             "n": n,
             "engine": engine.value,
@@ -269,7 +273,7 @@ def cmd_bench(args) -> int:
             "mults": counts[0],
             "mult_ratio_vs_direct": f"{counts[0] / direct_mults:.4f}",
             "lower_bound": bound,
-            "lower_bound_gap": f"{counts[0] / bound:.2f}" if bound else "",
+            "lower_bound_gap": f"{counts[0] / bound:.2f}",
         })
     direct_ns = {row["n"]: row["min_ns"] for row in rows
                  if row["engine"] == ConvolutionEngine.DIRECT.value}
@@ -375,9 +379,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, CountModelError) as exc:
         print(f"primeconv: error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, CountModelError) else 2
 
 
 def console_entry() -> None:

@@ -102,14 +102,14 @@ def as_signal(values) -> Signal:
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """The prime factorisation of n >= 2 as ((p, e), ...), p ascending.
+    """The prime factorisation of n >= 1 as ((p, e), ...), p ascending; () at 1.
 
     One trial-division pass, 2 first and then the odd factors, fine for the
     sizes this package meets.  The only place the package factors: n is
     prime exactly when ``factorize(n) == ((n, 1),)``.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     factors = []
     factor = 2
     while factor * factor <= n:
@@ -128,10 +128,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Signal:
     """Cyclic convolution by the defining double loop.
 
-    Tallies exactly n*n multiplications and n*(n-1) additions.  Accepts
-    n = 1 (a single product).  This is the oracle: each output starts from
-    b[0]*z[p] and adds b[l]*z[(p-l) mod n] in ascending l, with no shared
-    subexpressions.  Four outputs share one pass over l; that grouping
+    Tallies exactly n*n multiplications and n*(n-1) additions.  This is
+    the oracle: each output starts from b[0]*z[p] and adds b[l]*z[(p-l)
+    mod n] in ascending l, with no shared subexpressions.  Four outputs share one pass over l; that grouping
     changes the loop, not the arithmetic.
     """
     b = as_signal(kernel)

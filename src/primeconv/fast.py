@@ -23,6 +23,7 @@ only uses ring operations and a division by n.
 A prime power, 4, 8 or 9 included, runs as one block; other lengths nest
 through ``nesting``, and multiplications multiply across levels, so
 498 = 2 * 3 * 83 costs 2 * 4 * 3404 = 27,232 against 123,754 for one block.
+Length 1 is the nest over no parts, one product: (1, 0), as direct.
 """
 
 from functools import reduce
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 from .counting import OpTally, Scalar
 from .core import Signal, factorize
-from .nesting import NestedPlan, kernel_blocks, nest, nested_counts, run_plan
+from .nesting import NestedPlan, UnitPlan, nest, nested_counts, run_plan
 
 
 class CompositeLengthWarning(UserWarning):
@@ -66,26 +67,30 @@ class FastPlan(NamedTuple):
     def length(self) -> int:
         return len(self.diff_weights)
 
+    @classmethod
+    def build(cls, b) -> "FastPlan":
+        # Kernel-only arithmetic: precomputation, never tallied.
+        mean = reduce(add, b, 0) / len(b)
+        return cls(tuple(mean - value for value in b), mean)
+
+    @staticmethod
+    def counts(q: int) -> tuple[int, int, int]:
+        return (q * (q - 1) // 2 + 1, 0, 3 * q * (q - 1) // 2 + 1)
+
     def run(self, z, tally: OpTally) -> list:
         """The block's output on natural-order data ``z``, which it aligns."""
         return _execute(self, z[:1] + z[:0:-1], tally)[2]
 
 
-def _block(b: tuple) -> FastPlan:
-    # Kernel-only arithmetic: precomputation, never tallied.
-    mean = reduce(add, b, 0) / len(b)
-    return FastPlan(tuple(mean - value for value in b), mean)
-
-
-def plan_create(kernel) -> "FastPlan | NestedPlan":
-    """Build the plan for a kernel of length n >= 2: one block when n is a
-    prime power (4, 8, 9, ... included), nested over its prime-power parts
-    otherwise.
+def plan_create(kernel) -> "FastPlan | NestedPlan | UnitPlan":
+    """Build the plan for a kernel of length n: ``UnitPlan`` at n = 1, one
+    block when n is a prime power (4, 8, 9, ... included), nested over its
+    prime-power parts otherwise.
 
     All arithmetic here depends on the kernel only, so it is precomputation
     and contributes nothing to execution tallies.
     """
-    return nest(*kernel_blocks(kernel, FastPlan.engine), _block)
+    return nest(kernel, FastPlan)
 
 
 def _execute(plan: FastPlan, y, tally: OpTally):
@@ -178,7 +183,7 @@ def _execute(plan: FastPlan, y, tally: OpTally):
     return base, sums, out
 
 
-def fast_cyclic_convolution(plan: "FastPlan | NestedPlan", data,
+def fast_cyclic_convolution(plan: "FastPlan | NestedPlan | UnitPlan", data,
                             tally: OpTally | None = None) -> Signal:
     """Run the reduced-multiplication engine against ``data``.
 
@@ -189,24 +194,20 @@ def fast_cyclic_convolution(plan: "FastPlan | NestedPlan", data,
     return run_plan(plan, data, tally)
 
 
-def _block_counts(q: int) -> tuple[int, int, int]:
-    return (q * (q - 1) // 2 + 1, 0, 3 * q * (q - 1) // 2 + 1)
-
-
 def predicted_counts(n: int) -> tuple[int, int]:
     """Closed-form (multiplications, additions) for a length-n run.
 
     A block of length q costs M(q) = q(q-1)/2 + 1 and A(q) = 3q(q-1)/2 + 1;
-    nesting q over m costs M(q)M(m) and A(q)m + M(q)A(m).
+    nesting q over m costs M(q)M(m) and A(q)m + M(q)A(m) from (1, 0) at n = 1.
     """
-    return nested_counts(n, _block_counts, FastPlan.engine)
+    return nested_counts(n, FastPlan)
 
 
 def multiplication_lower_bound(n: int) -> int:
     """Winograd's minimum 2n - d(n) multiplications for length-n cyclic
     convolution by a bilinear algorithm over the rationals, where d(n)
     counts the divisors of n (the irreducible factors of x^n - 1): the
-    product of e + 1 over the prime powers p**e of ``factorize(n)``, so
-    n >= 2.  Reported alongside measured counts; never used as a pass/fail
+    product of e + 1 over the prime powers p**e of ``factorize(n)``, 1 at
+    n = 1.  Reported alongside measured counts; never used as a pass/fail
     gate."""
     return 2 * n - prod(e + 1 for _, e in factorize(n))

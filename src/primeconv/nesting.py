@@ -8,7 +8,7 @@ an engine's block runs at length q on length-m lane vectors, its additions
 lane by lane and each of its multiplications an inner plan's run.  Nothing
 here knows an engine: every plan has a ``length`` and a ``run`` on
 natural-order samples, and each block aligns its own input.  Both engines
-build through ``kernel_blocks`` and ``nest`` and run through ``run_plan``.
+build through ``nest(kernel, kind)`` and run through ``run_plan``.
 """
 
 from itertools import chain
@@ -16,7 +16,7 @@ from operator import add, neg, sub
 from typing import NamedTuple
 
 from .core import Signal, as_signal, factorize, overflow_error
-from .counting import OpTally
+from .counting import OpTally, Scalar
 
 
 class NestedPlan(NamedTuple):
@@ -51,52 +51,52 @@ class NestedPlan(NamedTuple):
         return out
 
 
+class UnitPlan(NamedTuple):
+    """The plan of a length-1 kernel, the nest over no parts, for any engine:
+    one product ``coefficient * z[0]``, direct's bits, tallied (1, 0)."""
+
+    engine: str
+    coefficient: Scalar
+    length = 1
+
+    def run(self, z, tally: OpTally) -> list:
+        tally.mults += 1
+        return [self.coefficient * z[0]]
+
+
 def block_lengths(n: int) -> tuple[int, ...]:
-    """The coprime prime-power parts p**e of n >= 2, read off ``factorize(n)``
-    and sorted ascending: (n,) when n is a prime power."""
+    """The coprime prime-power parts p**e of n >= 1, read off ``factorize(n)``
+    and sorted ascending: () at n = 1, (n,) when n is a prime power."""
     parts = factorize(n)
-    if len(parts) == 1:
-        return (n,)
-    return tuple(sorted(p ** e for p, e in parts))
+    return (n,) if len(parts) == 1 else tuple(sorted([p ** e for p, e in parts]))
 
 
-def require_length(n: int, engine: str) -> None:
-    if n < 2:
-        raise ValueError(f"{engine} needs length >= 2, got {n}")
+def nest(kernel, kind):
+    """The plan of ``kernel`` for the engine whose block plan type is
+    ``kind``, nested over the prime-power parts of its length n, ascending:
+    ``UnitPlan`` at n = 1 and ``kind.build`` of its samples for a single part.
 
-
-def kernel_blocks(kernel, engine: str) -> tuple[tuple, tuple[int, ...]]:
-    """The samples of a kernel of length n >= 2 and ``block_lengths(n)``, the
-    coprime prime-power parts of n, ascending: what ``nest`` builds
-    ``engine``'s plan from.  A prime n is factored like any other."""
-    b = as_signal(kernel).samples
-    n = len(b)
-    require_length(n, engine)
-    return b, block_lengths(n)
-
-
-def nest(b: tuple, blocks: tuple, build):
-    """The plan of kernel samples ``b`` nested over ``blocks``, the coprime
-    prime-power parts of len(b), ascending: ``build(b)`` for a single part.
-
-    ``build`` makes an engine's block plan from kernel samples.  At
-    n = q * m it runs once, at length q, on the Good-Thomas rows of the
-    kernel as lane vectors, so its kernel arithmetic acts lane by lane;
-    each length-m coefficient of that block then becomes an inner plan.
-    Precomputation, never tallied.
+    At n = q * m, ``kind.build`` runs once, at length q, on the Good-Thomas
+    rows of the kernel as lane vectors, so its kernel arithmetic acts lane
+    by lane; each length-m coefficient of that block then becomes an inner
+    plan, built from its raw lanes.  Precomputation, never tallied.
     """
+    return _nest(as_signal(kernel).samples, kind)
+
+
+def _nest(b: tuple, kind):
     n = len(b)
-    if len(blocks) == 1:
-        return build(b)
-    q, inner = blocks[0], blocks[1:]
-    m = n // q
+    blocks = block_lengths(n)
+    if len(blocks) < 2:
+        return kind.build(b) if blocks else UnitPlan(kind.engine, b[0])
+    q, m = blocks[0], n // blocks[0]
     order = [0] * n
     for k in range(n):
         order[k % q * m + k % m] = k
-    outer = build(_lane_rows(b, order, m, OpTally()))
+    outer = kind.build(_lane_rows(b, order, m, OpTally()))
 
     def inner_plan(vector):
-        return nest(tuple(vector.lanes), inner, build)
+        return _nest(tuple(vector.lanes), kind)
 
     return NestedPlan(n, tuple(order), outer._make(
         tuple(map(inner_plan, field)) if isinstance(field, tuple) else inner_plan(field)
@@ -159,23 +159,19 @@ def run_plan(plan, data, tally: OpTally | None) -> Signal:
         raise overflow_error(plan.engine, len(z), err) from None
 
 
-def nested_counts(n: int, block_counts, engine: str) -> tuple[int, int]:
-    """(multiplications, additions) of a length-n run nested over the
-    prime-power parts of n.
+def nested_counts(n: int, kind) -> tuple[int, int]:
+    """(multiplications, additions) of a length-n run of engine ``kind``,
+    folded over the prime-power parts of n from M(1) = 1 and A(1) = 0.
 
-    ``block_counts(q)`` gives one length-q block's (products, scalings,
+    ``kind.counts(q)`` gives one length-q block's (products, scalings,
     additions): its multiplications by a kernel coefficient, which become
     inner runs when nested, its multiplications by a constant, which
     become m lane mults, and its additions, which become m lane adds.  So
     M(q x m) = P(q)M(m) + S(q)m and A(q x m) = A(q)m + P(q)A(m).
-    ``engine`` is the name a length below 2 is reported under.
     """
-    require_length(n, engine)
-    *outer, m = block_lengths(n)
-    products, scalings, adds = block_counts(m)
-    mults = products + scalings
-    for q in reversed(outer):
-        products, scalings, block_adds = block_counts(q)
+    mults, adds, m = 1, 0, 1
+    for q in reversed(block_lengths(n)):
+        products, scalings, block_adds = kind.counts(q)
         mults, adds = products * mults + scalings * m, block_adds * m + products * adds
         m *= q
     return mults, adds

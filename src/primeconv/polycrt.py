@@ -22,7 +22,8 @@ through the engine-agnostic ``nesting.nest`` (Agarwal and Cooley, 1977): the
 block runs at the smallest prime-power part q over length-m lane vectors
 of the Good-Thomas map, each of its (q-1)^2 + 1 products is an inner run,
 and its scaling by 1/q is m lane mults.  At 498 = 2 * 3 * 83 that is
-67,675 mults against 247,011 for one block.
+67,675 mults against 247,011 for one block.  Length 1 is the nest over no
+parts, one product: (1, 0), as direct.
 """
 
 from functools import reduce
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 from .counting import OpTally, Scalar
 from .core import Signal
-from .nesting import NestedPlan, kernel_blocks, nest, nested_counts, require_length, run_plan
+from .nesting import NestedPlan, UnitPlan, nest, nested_counts, run_plan
 
 
 def poly_mul(a, b, tally: OpTally | None = None) -> list:
@@ -84,7 +85,6 @@ def poly_mul(a, b, tally: OpTally | None = None) -> list:
 def two_factor_system(n: int) -> float:
     """The one per-length constant of the two-factor engine: 1/n, the
     inverse of the all-ones factor's value at x = 1."""
-    require_length(n, TwoFactorPlan.engine)
     return 1.0 / n
 
 
@@ -137,6 +137,16 @@ class TwoFactorPlan(NamedTuple):
     kernel_residue: tuple
     engine = "winograd-two-factor"
 
+    @classmethod
+    def build(cls, b) -> "TwoFactorPlan":
+        # Kernel-only arithmetic: precomputation, never tallied.
+        return cls(reduce(add, b, 0), tuple(_reduce_mod_all_ones(b, len(b))))
+
+    @staticmethod
+    def counts(q: int) -> tuple[int, int, int]:
+        # Products (the point product and the schoolbook), the 1/q scaling, adds.
+        return ((q - 1) ** 2 + 1, 1, q * q + 2 * q - 4)
+
     @property
     def length(self) -> int:
         return len(self.kernel_residue) + 1
@@ -155,22 +165,17 @@ class TwoFactorPlan(NamedTuple):
         return two_factor_recombine(point_product, ones_residue, tally)
 
 
-def _block(b: tuple) -> TwoFactorPlan:
-    # Kernel-only arithmetic: precomputation, never tallied.
-    return TwoFactorPlan(reduce(add, b, 0), tuple(_reduce_mod_all_ones(b, len(b))))
-
-
-def two_factor_plan(kernel) -> "TwoFactorPlan | NestedPlan":
-    """Build the plan for a kernel of length n >= 2: one block when n is a
-    prime power, nested over its prime-power parts otherwise.
+def two_factor_plan(kernel) -> "TwoFactorPlan | NestedPlan | UnitPlan":
+    """Build the plan for a kernel of length n: ``UnitPlan`` at n = 1, one
+    block when n is a prime power, nested over its prime-power parts otherwise.
 
     All arithmetic here depends on the kernel only, so it is precomputation
     and contributes nothing to execution tallies.
     """
-    return nest(*kernel_blocks(kernel, TwoFactorPlan.engine), _block)
+    return nest(kernel, TwoFactorPlan)
 
 
-def winograd_two_factor_convolution(plan: "TwoFactorPlan | NestedPlan", data,
+def winograd_two_factor_convolution(plan: "TwoFactorPlan | NestedPlan | UnitPlan", data,
                                     tally: OpTally | None = None) -> Signal:
     """Cyclic convolution through the two-factor residue split.
 
@@ -182,16 +187,11 @@ def winograd_two_factor_convolution(plan: "TwoFactorPlan | NestedPlan", data,
     products inner runs and the scaling m mults; two_factor_predicted_counts
     gives the totals.
 
-    The split is valid for every n >= 2, prime or composite.  Prime n is
-    the case the method is published for: there x^{n-1} + ... + 1 is
-    irreducible over the rationals, so no finer split exists.
+    The split is valid for every block length n >= 2, prime or composite.
+    Prime n is the case the method is published for: there x^{n-1} + ... + 1
+    is irreducible over the rationals, so no finer split exists.
     """
     return run_plan(plan, data, tally)
-
-
-def _block_counts(q: int) -> tuple[int, int, int]:
-    # Products (the point product and the schoolbook), the 1/q scaling, adds.
-    return ((q - 1) ** 2 + 1, 1, q * q + 2 * q - 4)
 
 
 def two_factor_predicted_counts(n: int) -> tuple[int, int]:
@@ -200,4 +200,4 @@ def two_factor_predicted_counts(n: int) -> tuple[int, int]:
     One block costs ((n-1)^2 + 2, n^2 + 2n - 4).  Nesting q over m costs
     M(q x m) = ((q-1)^2 + 1)M(m) + m and A(q x m) = A(q)m + ((q-1)^2 + 1)A(m).
     """
-    return nested_counts(n, _block_counts, TwoFactorPlan.engine)
+    return nested_counts(n, TwoFactorPlan)

@@ -79,9 +79,9 @@ def cyclic_convolution(kernel, data, engine: ConvolutionEngine = ConvolutionEngi
                        tally: OpTally | None = None) -> Signal:
     """Cyclic convolution through the selected engine.
 
-    Every engine accepts every length n >= 2, prime or composite; direct
-    also accepts n = 1.  Callers that reuse one kernel should hold on to
-    ``engine.prepare(kernel)`` instead.
+    Every engine accepts every length n >= 1, prime or composite, and at
+    n = 1 each gives direct's one product.  Callers that reuse one kernel
+    should hold on to ``engine.prepare(kernel)`` instead.
     """
     return engine.prepare(kernel)(data, tally)
 
@@ -109,16 +109,16 @@ def naive_dft(data) -> Signal:
 
 
 def find_primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group mod prime p >= 3.
+    """Smallest generator of the multiplicative group mod prime p: 1 at p = 2.
 
     p is prime when ``factorize(p) == ((p, 1),)``, and g generates iff
     g^((p-1)/q) != 1 (mod p) for every prime q of ``factorize(p - 1)``.
     A prime has a generator, so the search always returns.
     """
-    if p < 3 or factorize(p) != ((p, 1),):
-        raise ValueError(f"need a prime p >= 3, got {p}")
+    if factorize(p) != ((p, 1),):
+        raise ValueError(f"need a prime p, got {p}")
     checks = [(p - 1) // q for q, _ in factorize(p - 1)]
-    return next(g for g in range(2, p) if all(pow(g, e, p) != 1 for e in checks))
+    return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in checks))
 
 
 class DftPlan(NamedTuple):
@@ -141,7 +141,7 @@ class DftPlan(NamedTuple):
 
 @lru_cache(maxsize=None, typed=True)
 def dft_plan(p: int) -> DftPlan:
-    """The Rader reindexing plan for prime p >= 3, built once per p per process.
+    """The Rader reindexing plan for prime p, built once per p per process.
 
     Kept unbounded, at O(p) per entry.  ``typed`` keeps ``dft_plan(5.0)`` a
     TypeError after ``dft_plan(5)``.  The powers of g come from one running
@@ -176,10 +176,10 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
 
     X[0] is the plain sample sum; for k >= 1 the bins are x[0] plus the
     cyclic convolution of the permuted input with the twiddle kernel.
-    Any engine works: p - 1 is composite for p >= 5, which every engine
-    accepts.  Fast-prime and two-factor nest over the prime-power parts of
-    p - 1 (498 = 2 * 3 * 83 at p = 499), and a part that is a composite
-    prime power (4 in 12 = 3 * 4, at p = 13) runs as one block.  The
+    Any engine works at every prime, p = 2 through one length-1 product.
+    Fast-prime and two-factor nest over the prime-power parts of p - 1
+    (498 = 2 * 3 * 83 at p = 499), and a part that is a composite prime
+    power (4 in 12 = 3 * 4, at p = 13) runs as one block.  The
     engine's prepared twiddle kernel is built once per (p, engine) per
     process and kept, unbounded like ``dft_plan``, at O(p) per entry.
     """
@@ -201,18 +201,18 @@ def padded_length(n: int, engine: ConvolutionEngine = ConvolutionEngine.DIRECT) 
     """Cyclic length at which ``engine`` embeds a length-n linear convolution.
 
     Any L >= 2n - 1 holds the full product without wrap-around.  This is the
-    first L in max(2, 2n - 1) .. max(2, 4n - 2) with the smallest
-    ``engine.predicted_counts(L)``, multiplications then additions.  The
-    window holds 2n and, by Bertrand's postulate, the smallest prime
-    >= 2n - 1, so L never costs more than either.  Direct, at n^2 mults,
-    always takes 2n - 1; fast-prime and two-factor nest over coprime
-    factors and take smooth lengths: for n = 250 both take 510, where
-    fast-prime tallies 12,056 mults against 124,252 at the prime 499.
+    first L in 2n - 1 .. 4n - 2 with the smallest ``engine.predicted_counts(L)``,
+    multiplications then additions.  The window holds 2n and, by Bertrand's
+    postulate, the smallest prime >= 2n - 1, so L never costs more than
+    either.  Direct, at n^2 mults, always takes 2n - 1; fast-prime and
+    two-factor nest over coprime factors and take smooth lengths: for
+    n = 250 both take 510, where fast-prime tallies 12,056 mults against
+    124,252 at the prime 499.
     Kept per (n, engine) per process, as ``dft_plan`` is.
     """
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    return min(range(max(2, 2 * n - 1), max(2, 4 * n - 2) + 1), key=engine.predicted_counts)
+    return min(range(2 * n - 1, 4 * n - 1), key=engine.predicted_counts)
 
 
 def schoolbook_linear_convolution(kernel, data, full: bool = False) -> Signal:

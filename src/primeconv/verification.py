@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 from .core import Signal, as_signal, direct_cyclic_convolution, max_relative_error
 from .counting import OpTally, Scalar
-from .fast import FastPlan, _block, _execute
-from .nesting import kernel_blocks
+from .fast import FastPlan, _execute
 from .polycrt import two_factor_plan, two_factor_recombine
 from .transforms import ConvolutionEngine, cyclic_convolution, dft_plan, naive_dft, rader_dft
 
@@ -58,7 +57,10 @@ def reverse_permute(signal) -> tuple:
 def block_plan(kernel) -> FastPlan:
     """Build a single-block fast-prime plan for a kernel of length n >= 2,
     whatever the factors of n; the pair-table tooling is defined on these."""
-    return _block(kernel_blocks(kernel, FastPlan.engine)[0])
+    b = as_signal(kernel).samples
+    if len(b) < 2:
+        raise ValueError(f"a single-block plan needs length >= 2, got {len(b)}")
+    return FastPlan.build(b)
 
 
 class ConvolutionTrace(NamedTuple):
@@ -80,7 +82,7 @@ def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
     """Run a single-block plan and expose its intermediates (plain mode)."""
     if not isinstance(plan, FastPlan):
         raise ValueError(f"trace_convolution needs a single-block plan; the length-"
-                         f"{plan.length} plan is nested (build one with block_plan)")
+                         f"{plan.length} plan is not one (build one with block_plan)")
     z = as_signal(data)
     if len(z) != plan.length:
         raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
@@ -333,9 +335,6 @@ def run_suites(sizes, trials: int, seed: int) -> list:
     sizes = tuple(sizes)
     if not sizes:
         raise ValueError("need at least one size")
-    for n in sizes:
-        if n < 2:
-            raise ValueError(f"verification sizes must be >= 2, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     return [

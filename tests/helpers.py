@@ -54,7 +54,7 @@ def run_fresh(*args) -> subprocess.CompletedProcess:
 
 def next_prime(n: int) -> int:
     """Smallest prime greater than or equal to n."""
-    candidate = max(2, n)
+    candidate = n
     while factorize(candidate) != ((candidate, 1),):
         candidate += 1
     return candidate

@@ -15,6 +15,7 @@ from typing import NamedTuple
 from primeconv.core import as_signal
 from primeconv.counting import OpTally, Scalar
 from primeconv.fast import FastPlan
+from primeconv.nesting import UnitPlan
 from primeconv.polycrt import TwoFactorPlan
 from primeconv.verification import reverse_permute
 
@@ -131,8 +132,10 @@ def fast_execute(plan, data, tally: OpTally):
 
 
 def fast_run(plan, data, tally: OpTally) -> list:
-    """FastPlan.run or NestedPlan.run for fast-prime: the output of a
-    single-block or nested plan."""
+    """FastPlan.run, NestedPlan.run or UnitPlan.run for fast-prime: the
+    output of a single-block or nested plan, or direct's one product."""
+    if isinstance(plan, UnitPlan):
+        return direct([plan.coefficient], data, tally)
     if isinstance(plan, FastPlan):
         return fast_execute(plan, data, tally)[4]
     rows = good_thomas_rows(plan, data)
@@ -204,10 +207,12 @@ def two_factor_block(plan, z, ring: Ring) -> list:
 
 
 def two_factor(plan, data, tally: OpTally) -> list:
-    """TwoFactorPlan.run or NestedPlan.run for two-factor: one block, or,
-    like fast_run, the block at length q over the Good-Thomas rows (not
-    aligned: the two-factor engine reads data in natural order) with inner
-    runs as products."""
+    """TwoFactorPlan.run, NestedPlan.run or UnitPlan.run for two-factor: one
+    block, or, like fast_run, the block at length q over the Good-Thomas
+    rows (not aligned: the two-factor engine reads data in natural order)
+    with inner runs as products, or direct's one product."""
+    if isinstance(plan, UnitPlan):
+        return direct([plan.coefficient], data, tally)
     if isinstance(plan, TwoFactorPlan):
         return two_factor_block(plan, as_signal(data).samples, scalars(tally))
     rows = good_thomas_rows(plan, data)

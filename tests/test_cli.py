@@ -133,10 +133,15 @@ def test_bad_sizes_exit_2(capsys):
         assert "primeconv: error:" in err
 
 
-def test_size_one_with_fast_engine_exit_2(capsys):
-    code, _, err = run_cli(capsys, "table", "--sizes", "1", "--engine", "fast-prime")
-    assert code == 2
-    assert "length >= 2" in err
+def test_table_at_size_one(capsys):
+    # Every engine does one product at n = 1, which is Winograd's minimum.
+    code, out, err = run_cli(capsys, "table", "--sizes", "1", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["engine"] for row in rows] == [engine.value for engine in ConvolutionEngine]
+    for row in rows:
+        assert (row["mults_measured"], row["adds_measured"], row["lower_bound"]) == ("1", "0", "1")
+        assert row["max_rel_err"] == "0.000e+00"
 
 
 def test_table_rejects_zero_trials(capsys):
@@ -253,10 +258,11 @@ def test_verify_rejects_zero_trials_even_with_injected_fault(capsys, fast_prime_
     assert err == "primeconv: error: trials must be >= 1, got 0\n"
 
 
-def test_verify_rejects_size_below_two(capsys):
-    code, _, err = run_cli(capsys, "verify", "--sizes", "1-4")
-    assert code == 2
-    assert ">= 2" in err
+def test_verify_accepts_size_one(capsys):
+    code, out, err = run_cli(capsys, "verify", "--sizes", "1-4", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "result: PASS (9/9 suites)"
+    assert "sizes=1,2,3,4 trials=20" in out
 
 
 # --- bench ----------------------------------------------------------------------
@@ -290,8 +296,12 @@ def test_bench_checks_the_count_model(capsys, monkeypatch):
         return (0, 0)
 
     monkeypatch.setattr(ConvolutionEngine, "predicted_counts", wrong_model)
-    with pytest.raises(RuntimeError, match="count model out of sync for direct at n=5"):
-        run_cli(capsys, "bench", "--sizes", "5", "--trials", "3", "--engine", "direct")
+    for command in ("bench", "table"):
+        # A verification failure: exit 1, one error line, no report.
+        assert run_cli(capsys, command, "--sizes", "5", "--trials", "3",
+                       "--engine", "direct") == (
+            1, "", "primeconv: error: count model out of sync for direct at n=5: "
+                   "measured (25, 20), predicted (0, 0)\n")
 
 
 def test_bench_requires_three_trials(capsys):
@@ -397,27 +407,19 @@ def test_non_finite_sample_names_its_file_and_line(tmp_path, capsys, command, sa
         2, "", f"primeconv: error: {bad}:6: non-finite sample {shown}\n")
 
 
-def test_convolve_library_error_exit_2(tmp_path, capsys):
-    data = tmp_path / "one.txt"
-    write_samples(data, [1.0])
-    for engine in ("fast-prime", "winograd-two-factor"):
-        code, out, err = run_cli(capsys, "convolve", str(data), str(data), "--engine", engine)
-        assert code == 2
-        assert out == ""
-        assert err == f"primeconv: error: {engine} needs length >= 2, got 1\n"
-
-
 def test_convolve_overflow_exit_2(tmp_path, capsys):
+    # A library error on valid files exits 2, at n = 1 as at n = 3.
     kernel, data = tmp_path / "kernel.txt", tmp_path / "data.txt"
-    write_samples(kernel, [2.0, 0.0, 0.0])
-    write_samples(data, [1e308] * 3)
-    for engine in ConvolutionEngine:
-        code, out, err = run_cli(capsys, "convolve", str(data), str(kernel),
-                                 "--engine", engine.value)
-        assert (code, out) == (2, "")
-        assert re.fullmatch(f"primeconv: error: the {engine.value} engine overflowed at n = 3: "
-                            "the input was finite, but the result has a non-finite sample "
-                            "(inf|nan)\n", err), err
+    for n in (3, 1):
+        write_samples(kernel, [2.0] + [0.0] * (n - 1))
+        write_samples(data, [1e308] * n)
+        for engine in ConvolutionEngine:
+            code, out, err = run_cli(capsys, "convolve", str(data), str(kernel),
+                                     "--engine", engine.value)
+            assert (code, out) == (2, "")
+            assert re.fullmatch(f"primeconv: error: the {engine.value} engine overflowed at "
+                                f"n = {n}: the input was finite, but the result has a "
+                                "non-finite sample (inf|nan)\n", err), err
 
 
 def test_convolve_missing_file(tmp_path, capsys):
@@ -471,14 +473,15 @@ def test_unwritable_out_file_exit_2(tmp_path, capsys, command):
 # --- dft -------------------------------------------------------------------------
 
 def test_dft_matches_naive(tmp_path, capsys):
+    # p = 2 runs Rader through a length-1 convolution.
     data = tmp_path / "data.txt"
-    samples = [0.5, -1.0, 2.0, 0.25, -0.75]
-    write_samples(data, samples)
-    code, out, _ = run_cli(capsys, "dft", str(data))
-    assert code == 0
-    got = parse_samples(out)
-    want = list(naive_dft(samples))
-    assert got == pytest.approx(want, abs=1e-9)
+    for samples in ([0.5, -1.0, 2.0, 0.25, -0.75], [0.5, -1.0]):
+        write_samples(data, samples)
+        code, out, _ = run_cli(capsys, "dft", str(data))
+        assert code == 0
+        got = parse_samples(out)
+        want = list(naive_dft(samples))
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_dft_composite_length_exit_2(tmp_path, capsys):
@@ -486,7 +489,7 @@ def test_dft_composite_length_exit_2(tmp_path, capsys):
     write_samples(data, [1.0] * 6)
     code, _, err = run_cli(capsys, "dft", str(data))
     assert code == 2
-    assert err == "primeconv: error: need a prime p >= 3, got 6\n"
+    assert err == "primeconv: error: need a prime p, got 6\n"
 
 
 def test_dft_engine_choice(tmp_path, capsys):
@@ -588,4 +591,4 @@ def test_bad_argv_after_a_good_call_exits_2_with_the_same_message(tmp_path, caps
         assert again.value.code == fresh.value.code == 2
         assert capsys.readouterr().err == fresh_err
         assert run_cli(capsys, "dft", str(composite)) == (
-            2, "", "primeconv: error: need a prime p >= 3, got 6\n")
+            2, "", "primeconv: error: need a prime p, got 6\n")

@@ -118,10 +118,11 @@ def test_as_signal_passthrough():
 
 def test_is_prime_small_values():
     primes_below_40 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
-    for n in range(2, 40):
+    for n in range(1, 40):
         assert (factorize(n) == ((n, 1),)) == (n in primes_below_40)
-    for bad in (1, 0, -3):
-        with pytest.raises(ValueError, match=f"need n >= 2, got {bad}"):
+    assert factorize(1) == ()
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"need n >= 1, got {bad}"):
             factorize(bad)
 
 
@@ -134,9 +135,9 @@ def test_prime_factors():
 
 
 def test_factorize_matches_its_definition():
-    # For n = 2-2048: ascending primes, each prime by trial division, whose
-    # powers multiply back to n.
-    for n in range(2, 2049):
+    # For n = 1-2048: ascending primes, each prime by trial division, whose
+    # powers multiply back to n (none at n = 1).
+    for n in range(1, 2049):
         factors = factorize(n)
         primes = [p for p, _ in factors]
         assert primes == sorted(set(primes)), n

@@ -16,7 +16,7 @@ from primeconv.fast import (
     plan_create,
     predicted_counts,
 )
-from primeconv.nesting import NestedPlan, block_lengths, nest
+from primeconv.nesting import NestedPlan, UnitPlan, block_lengths, nest
 from primeconv.transforms import ConvolutionEngine, cyclic_convolution
 from primeconv.verification import (
     block_plan,
@@ -52,23 +52,25 @@ def test_plan_weights_sum_to_zero():
 
 
 def test_plan_rejects_length_one():
-    with pytest.raises(ValueError):
-        plan_create([1.0])
-    with pytest.raises(ValueError):
+    # plan_create takes n = 1 as the nest over no parts, one product; only
+    # the single-block pair-table tooling needs two samples.
+    assert plan_create([1.5]) == UnitPlan("fast-prime", 1.5)
+    with pytest.raises(ValueError, match="needs length >= 2, got 1"):
         block_plan([1.0])
 
 
 def test_block_lengths_are_ascending_prime_powers():
+    assert block_lengths(1) == ()
     assert block_lengths(2) == (2,)
     assert block_lengths(8) == (8,)
     assert block_lengths(12) == (3, 4)
     assert block_lengths(60) == (3, 4, 5)
     assert block_lengths(210) == (2, 3, 5, 7)
     assert block_lengths(498) == (2, 3, 83)
-    # By definition, for n = 2-2048: pairwise coprime prime powers whose
+    # By definition, for n = 1-2048: pairwise coprime prime powers whose
     # product is n.  A part's smallest divisor above 1 is prime; the part
     # is a power of it when dividing it out leaves 1.
-    for n in range(2, 2049):
+    for n in range(1, 2049):
         parts = block_lengths(n)
         assert list(parts) == sorted(parts) and prod(parts) == n, n
         assert all(gcd(q, r) == 1 for i, q in enumerate(parts) for r in parts[i + 1:]), n
@@ -110,6 +112,11 @@ class Schoolbook(NamedTuple):
     natural-order ring elements, charging the direct count to ``tally``."""
 
     kernel: tuple
+    engine = "schoolbook"
+
+    @classmethod
+    def build(cls, b):
+        return cls(b)
 
     @property
     def length(self) -> int:
@@ -135,7 +142,7 @@ def test_nest_runs_any_block_that_reads_natural_order():
     rng = rng_for(16)
     for n in (6, 12, 20, 30, 60, 72):
         kernel, data = real_samples(rng, n), real_samples(rng, n)
-        plan = nest(tuple(kernel), block_lengths(n), Schoolbook)
+        plan = nest(kernel, Schoolbook)
         assert isinstance(plan, NestedPlan) and isinstance(plan.block, Schoolbook)
         tally = OpTally()
         got = plan.run(data, tally)
@@ -153,7 +160,7 @@ def test_fast_fixed_example():
 
 def test_fast_agrees_with_direct_real():
     rng = rng_for(12)
-    for n in range(2, 24):
+    for n in range(1, 24):
         kernel = real_samples(rng, n)
         plan = plan_create(kernel)
         for _ in range(10):
@@ -205,11 +212,12 @@ def block_counts(q):
 
 
 def nested_counts(n):
-    """M(q x m) = M(q) M(m) and A(q x m) = A(q) m + M(q) A(m), with q the
-    smallest prime-power part of n and m = n / q."""
+    """M(1) = 1 and A(1) = 0, the nest over no parts; M(q x m) = M(q) M(m)
+    and A(q x m) = A(q) m + M(q) A(m), with q the smallest prime-power part
+    of n and m = n / q."""
     parts = block_lengths(n)
-    if len(parts) == 1:
-        return block_counts(n)
+    if not parts:
+        return (1, 0)
     q, m = parts[0], n // parts[0]
     (mq, aq), (mm, am) = block_counts(q), nested_counts(m)
     return (mq * mm, aq * m + mq * am)
@@ -218,7 +226,7 @@ def nested_counts(n):
 def test_fast_counts_match_closed_form_everywhere():
     # A prime power is one block; other lengths nest over their parts.
     rng = rng_for(16)
-    for n in range(2, 41):
+    for n in range(1, 41):
         plan = plan_create(real_samples(rng, n))
         tally = OpTally()
         fast_cyclic_convolution(plan, real_samples(rng, n), tally)
@@ -251,23 +259,26 @@ def test_block_plan_runs_one_block_at_composite_length():
         assert max_relative_error(got, direct_cyclic_convolution(kernel, data)) < 1e-12
 
 
-def test_predicted_counts_rejects_length_one():
-    with pytest.raises(ValueError):
-        predicted_counts(1)
+def test_predicted_counts_at_length_one():
+    # One product, as direct; a length below 1 has no factorisation.
+    assert predicted_counts(1) == (1, 0)
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        predicted_counts(0)
 
 
 def test_multiplication_lower_bound():
     # 2n - d(n), with d(n) the number of divisors of n; 2(n - 1) at primes.
+    assert multiplication_lower_bound(1) == 1
     assert multiplication_lower_bound(2) == 2
     assert multiplication_lower_bound(23) == 44
     assert multiplication_lower_bound(6) == 8
     assert multiplication_lower_bound(12) == 18
     with pytest.raises(ValueError):
-        multiplication_lower_bound(1)
-    for n in range(2, 2049):
+        multiplication_lower_bound(0)
+    for n in range(1, 2049):
         assert multiplication_lower_bound(n) == 2 * n - sum(n % d == 0 for d in range(1, n + 1)), n
-    # The engine meets the bound at n = 2, 3 and 6 and is above it elsewhere.
-    for n in (2, 3, 6):
+    # The engine meets the bound at n = 1, 2, 3 and 6 and is above it elsewhere.
+    for n in (1, 2, 3, 6):
         assert predicted_counts(n)[0] == multiplication_lower_bound(n), n
     for n in range(4, 30):
         if n != 6:
@@ -317,8 +328,10 @@ def test_output_equals_base_minus_components():
 
 
 def test_trace_rejects_nested_plan():
-    with pytest.raises(ValueError, match="length-6 plan is nested"):
+    with pytest.raises(ValueError, match="length-6 plan is not one"):
         trace_convolution(plan_create([1.0] * 6), [1.0] * 6)
+    with pytest.raises(ValueError, match="length-1 plan is not one"):
+        trace_convolution(plan_create([1.0]), [1.0])
 
 
 def test_trace_rejects_data_of_another_length():

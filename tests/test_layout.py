@@ -3,7 +3,8 @@ what a fresh process loads.
 
 ``nesting`` is the Good-Thomas machinery both reduced engines share, so it
 sits below them; the engines reach it through its public names and never
-through each other; tools that only verification uses live there.  The
+through each other, and each hands it its plan type, which builds and
+counts the engine's block; tools that only verification uses live there.  The
 package root exports the engine protocol, the transforms and the oracles;
 each engine's own names stay at its module.  A one-shot ``convolve`` or
 ``dft`` loads neither ``verification`` nor the report formats: the CLI
@@ -36,7 +37,7 @@ MODULE_NAMES = {
            "multiplication_lower_bound"),
     polycrt: ("TwoFactorPlan", "two_factor_plan", "winograd_two_factor_convolution",
               "two_factor_predicted_counts", "poly_mul"),
-    nesting: ("NestedPlan", "block_lengths"),
+    nesting: ("NestedPlan", "UnitPlan", "block_lengths", "nest", "nested_counts"),
     core: ("as_signal", "direct_predicted_counts", "factorize"),
     transforms: ("find_primitive_root",),
 }
@@ -71,6 +72,18 @@ def test_nesting_imports_only_core_and_counting():
 def test_engines_import_nesting_and_not_each_other(module, other):
     assert "nesting" in package_modules(module)
     assert other not in package_modules(module)
+
+
+@pytest.mark.parametrize("module, kind", [(fast, fast.FastPlan), (polycrt, polycrt.TwoFactorPlan)],
+                         ids=["fast", "polycrt"])
+def test_each_engine_builds_and_counts_its_block_on_its_plan_type(module, kind):
+    assert {"build", "counts", "engine"} <= set(vars(kind)), kind
+    assert not {"_block", "_block_counts"} & set(vars(module)), module.__name__
+
+
+def test_nesting_has_one_length_domain():
+    # n = 1 is the nest over no parts; no engine-named length check remains.
+    assert not {"require_length", "kernel_blocks"} & set(vars(nesting))
 
 
 @pytest.mark.parametrize("module", ["fast", "polycrt", "transforms"])

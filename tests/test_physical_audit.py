@@ -17,17 +17,18 @@ from primeconv.polycrt import two_factor_predicted_counts
 from primeconv.transforms import ConvolutionEngine
 
 # Sizes 2-39 cover every remainder of fast-prime's four-row groups on scalar
-# blocks; 77 = 7 * 11 and 143 = 11 * 13 run the groups on lane vectors.
-SIZES = tuple(range(2, 40)) + (60, 77, 97, 101, 143, 210, 498, 499)
+# blocks; 77 = 7 * 11 and 143 = 11 * 13 run the groups on lane vectors; 1
+# is every engine's one product.
+SIZES = tuple(range(1, 40)) + (60, 77, 97, 101, 143, 210, 498, 499)
 
 
 def rebuild_adds(n: int) -> int:
-    """Fast-prime's untallied zero-sum rebuild: E(q) = q - 1 for one block,
-    and E(q x m) = (q - 1) m + M(q) E(m) nested, with q the smallest
-    prime-power part of n and m = n / q."""
+    """Fast-prime's untallied zero-sum rebuild: E(1) = 0 over no parts, and
+    E(q x m) = (q - 1) m + M(q) E(m), with q the smallest prime-power part
+    of n and m = n / q, so E(q) = q - 1 for one block."""
     parts = block_lengths(n)
-    if len(parts) == 1:
-        return n - 1
+    if not parts:
+        return 0
     q, m = parts[0], n // parts[0]
     return (q - 1) * m + predicted_counts(q)[0] * rebuild_adds(m)
 
@@ -146,7 +147,7 @@ def run_counted(engine, n, make, index):
     ids=["direct", "fast-prime", "two-factor"],
 )
 def test_physical_counts_match_closed_forms(engine, physical, make):
-    assert rebuild_adds(498) == 1237
+    assert (rebuild_adds(1), rebuild_adds(498)) == (0, 1237)
     for index, n in enumerate(SIZES):
         counted, tallied, out, plain_out = run_counted(engine, n, make, 700 + index)
         assert tallied == engine.predicted_counts(n), n

@@ -4,7 +4,7 @@ from helpers import real_samples, rng_for
 from primeconv.core import direct_cyclic_convolution, max_relative_error
 from primeconv.counting import OpTally
 from primeconv.fast import multiplication_lower_bound, predicted_counts
-from primeconv.nesting import NestedPlan, block_lengths
+from primeconv.nesting import NestedPlan, UnitPlan, block_lengths
 from primeconv.polycrt import (
     TwoFactorPlan,
     _reduce_mod_all_ones,
@@ -70,10 +70,8 @@ def test_crt_round_trip_random():
 
 
 def test_two_factor_system_is_inverse_length():
-    for n in (2, 3, 5, 8, 13):
+    for n in (1, 2, 3, 5, 8, 13):
         assert two_factor_system(n) == 1.0 / n
-    with pytest.raises(ValueError):
-        two_factor_system(1)
 
 
 # --- the two-factor engine ------------------------------------------------------
@@ -111,6 +109,7 @@ def test_two_factor_counts():
 
 
 def test_two_factor_predicted_count_values():
+    assert two_factor_predicted_counts(1) == (1, 0)  # one product, as direct
     assert two_factor_predicted_counts(2) == (3, 4)
     assert two_factor_predicted_counts(3) == (6, 11)
     assert two_factor_predicted_counts(5) == (18, 31)
@@ -124,8 +123,6 @@ def test_two_factor_predicted_count_values():
     assert two_factor_predicted_counts(60) == (945, 2270)
     assert two_factor_predicted_counts(210) == (6705, 13390)
     assert two_factor_predicted_counts(498) == (67675, 73332)
-    with pytest.raises(ValueError):
-        two_factor_predicted_counts(1)
 
 
 def prime_power_parts(n: int) -> list:
@@ -143,13 +140,13 @@ def prime_power_parts(n: int) -> list:
 
 
 def nested_two_factor_counts(parts: list) -> tuple[int, int]:
-    """The two-factor budget over ``parts``, smallest outermost: one block
-    of q costs ((q-1)^2 + 2, q^2 + 2q - 4); over a length-m inner run its
-    (q-1)^2 + 1 products each cost that run, its one scaling costs m mults
-    and each of its additions m adds."""
+    """The two-factor budget over ``parts``, smallest outermost: (1, 0)
+    over no parts; over a length-m inner run, a block of q's (q-1)^2 + 1
+    products each cost that run, its one scaling costs m mults and each of
+    its q^2 + 2q - 4 additions m adds."""
+    if not parts:
+        return 1, 0
     q, *inner = parts
-    if not inner:
-        return (q - 1) ** 2 + 2, q * q + 2 * q - 4
     m = 1
     for part in inner:
         m *= part
@@ -160,7 +157,7 @@ def nested_two_factor_counts(parts: list) -> tuple[int, int]:
 
 def test_two_factor_tally_matches_independent_recursion():
     rng = rng_for(38)
-    for n in tuple(range(2, 65)) + (498,):
+    for n in tuple(range(1, 65)) + (498,):
         tally = OpTally()
         convolve(real_samples(rng, n), real_samples(rng, n), tally)
         assert tally.counts == two_factor_predicted_counts(n) \
@@ -198,17 +195,20 @@ def test_two_factor_length_errors():
     plan = two_factor_plan([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="does not match"):
         winograd_two_factor_convolution(plan, [1.0, 2.0])
-    with pytest.raises(ValueError, match=">= 2"):
-        two_factor_plan([1.0])
+    # Length 1 is the nest over no parts, one product, not an error.
+    unit = two_factor_plan([1.5])
+    assert unit == UnitPlan("winograd-two-factor", 1.5)
+    with pytest.raises(ValueError, match="plan length 1 does not match data length 2"):
+        winograd_two_factor_convolution(unit, [1.0, 2.0])
 
 
 def test_multiplication_count_ordering():
     # Winograd's minimum <= reduced-multiplication engine <= two-factor
-    # <= direct, for every n >= 2; nesting puts two-factor strictly below
+    # <= direct, for every n >= 1; nesting puts two-factor strictly below
     # its single block wherever n has two or more coprime parts.
     from primeconv.core import direct_predicted_counts
 
-    for n in range(2, 257):
+    for n in range(1, 257):
         fast_m = predicted_counts(n)[0]
         two_m = two_factor_predicted_counts(n)[0]
         direct_m = direct_predicted_counts(n)[0]

@@ -61,15 +61,13 @@ MAKERS = pytest.mark.parametrize("make", [real_samples, complex_samples, mixed_s
 
 @MAKERS
 @pytest.mark.parametrize(
-    "engine, reference, min_n",
-    [(ConvolutionEngine.DIRECT, ref.direct, 1), (ConvolutionEngine.FAST_PRIME, reference_fast, 2),
-     (ConvolutionEngine.WINOGRAD_TWO_FACTOR, reference_two_factor, 2)],
+    "engine, reference",
+    [(ConvolutionEngine.DIRECT, ref.direct), (ConvolutionEngine.FAST_PRIME, reference_fast),
+     (ConvolutionEngine.WINOGRAD_TWO_FACTOR, reference_two_factor)],
     ids=["direct", "fast-prime", "two-factor"],
 )
-def test_engine_matches_reference_loops_bit_for_bit(engine, reference, min_n, make):
+def test_engine_matches_reference_loops_bit_for_bit(engine, reference, make):
     for n, kernel, data in inputs(make, 800):
-        if n < min_n:
-            continue
         run = engine.prepare(kernel)
         tally, want_tally = OpTally(), OpTally()
         got = run(data, tally)

@@ -30,7 +30,7 @@ from primeconv.transforms import (
 )
 
 ALL_ENGINES = tuple(ConvolutionEngine)
-PRIMES_BELOW_600 = [p for p in range(3, 600) if factorize(p) == ((p, 1),)]
+PRIMES_BELOW_600 = [p for p in range(2, 600) if factorize(p) == ((p, 1),)]
 
 
 # --- engine dispatch ----------------------------------------------------------
@@ -46,7 +46,7 @@ def test_dispatch_matches_direct_everywhere():
     # A prepared runner gives the dispatcher's bits and tallies its engine's budget.
     rng = rng_for(40)
     for make in (real_samples, complex_samples):
-        for n in (2, 3, 4, 5, 6, 9, 11, 16):
+        for n in (1, 2, 3, 4, 5, 6, 9, 11, 16):
             kernel = make(rng, n)
             data = make(rng, n)
             want = direct_cyclic_convolution(kernel, data)
@@ -84,14 +84,30 @@ def test_default_engine_is_direct():
     assert tally.counts == (9, 6)
 
 
-@pytest.mark.parametrize("n", [5, 6], ids=["one-block", "nested"])
+def overflowing_data(n: int) -> list:
+    return [1e308 if k % 2 == 0 else -1e308 for k in range(n)]
+
+
+# (kernel, data): finite input whose result overflows.  In "nested-kernel"
+# the kernel's own precomputation overflows at n = 6 = 2 * 3: the outer
+# block's lane sums are inf, and the inner plans built from them must not
+# be checked as signals, or the error would name a sample, not the engine.
+OVERFLOWS = {
+    "one-block": ([2.0] + [0.0] * 4, overflowing_data(5)),
+    "nested": ([2.0] + [0.0] * 5, overflowing_data(6)),
+    "length-one": ([2.0], overflowing_data(1)),
+    "nested-kernel": ([1e308] * 6, [1.0] * 6),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWS))
 @pytest.mark.parametrize("engine", list(ConvolutionEngine),
                          ids=["direct", "fast-prime", "two-factor"])
-def test_overflow_names_the_engine_and_length(engine, n):
+def test_overflow_names_the_engine_and_length(engine, case):
     # Finite input whose result overflows: every engine, direct included,
     # says so instead of naming a sample of its own.
-    kernel = [2.0] + [0.0] * (n - 1)
-    data = [1e308 if k % 2 == 0 else -1e308 for k in range(n)]
+    kernel, data = OVERFLOWS[case]
+    n = len(kernel)
     with pytest.raises(ValueError, match=rf"^the {engine.value} engine overflowed at "
                                          rf"n = {n}: the input was finite, but the result "
                                          rf"has a non-finite sample (inf|nan)$"):
@@ -133,6 +149,7 @@ def test_naive_dft_preserves_energy():
 # --- primitive roots -------------------------------------------------------------
 
 def test_primitive_root_known_values():
+    assert find_primitive_root(2) == 1
     assert find_primitive_root(3) == 2
     assert find_primitive_root(5) == 2
     assert find_primitive_root(7) == 3
@@ -142,7 +159,7 @@ def test_primitive_root_known_values():
 
 def test_primitive_root_has_full_order():
     # By brute force: find_primitive_root(p) is the smallest g whose powers
-    # reach every nonzero residue.
+    # reach every nonzero residue (1 alone at p = 2).
     def generates(g, p):
         seen = set()
         value = 1
@@ -153,19 +170,22 @@ def test_primitive_root_has_full_order():
 
     for p in PRIMES_BELOW_600:
         g = find_primitive_root(p)
-        assert [h for h in range(2, g + 1) if generates(h, p)] == [g], p
+        assert [h for h in range(1, g + 1) if generates(h, p)] == [g], p
 
 
 def test_primitive_root_rejects_bad_input():
-    for bad in (2, 4, 9, 1):
-        with pytest.raises(ValueError):
+    # 2 is prime, so it is not among them.
+    for bad in (4, 9, 1):
+        with pytest.raises(ValueError, match=f"need a prime p, got {bad}"):
             find_primitive_root(bad)
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        find_primitive_root(0)
 
 
 # --- prime-length DFT -------------------------------------------------------------
 
 def test_dft_plan_structure():
-    for p in (3, 5, 7, 11):
+    for p in (2, 3, 5, 7, 11):
         plan = dft_plan(p)
         assert plan.length == p
         assert sorted(plan.input_order) == list(range(1, p))
@@ -180,7 +200,7 @@ def test_dft_plan_is_kept_per_prime_and_bad_lengths_still_raise():
     with pytest.raises(TypeError):
         dft_plan(7.0)  # typed: an equal float does not find the int's plan
     for _ in range(2):
-        with pytest.raises(ValueError, match="need a prime p >= 3, got 6"):
+        with pytest.raises(ValueError, match="need a prime p, got 6"):
             dft_plan(6)
 
 
@@ -199,8 +219,9 @@ def test_dft_plan_matches_power_definition():
 
 
 def test_rader_matches_naive_all_engines():
+    # At p = 2 every engine runs Rader through its length-1 plan.
     rng = rng_for(42)
-    for p in (3, 5, 7, 11, 13, 17):
+    for p in (2, 3, 5, 7, 11, 13, 17):
         plan = dft_plan(p)
         for _ in range(4):
             data = complex_samples(rng, p)
@@ -302,7 +323,7 @@ def test_rader_length_mismatch():
 # --- linear convolution --------------------------------------------------------------
 
 def test_padded_length_policies():
-    # Each engine embeds at its cheapest length in max(2, 2n - 1) .. max(2, 4n - 2).
+    # Each engine embeds at its cheapest length in 2n - 1 .. 4n - 2.
     direct, fast, two_factor = ALL_ENGINES
     assert [padded_length(250, engine) for engine in ALL_ENGINES] == [499, 510, 510]
     assert [padded_length(500, engine) for engine in ALL_ENGINES] == [999, 1020, 1050]
@@ -312,7 +333,7 @@ def test_padded_length_policies():
     assert two_factor.predicted_counts(510) == (44_455, 62_390)
     assert two_factor.predicted_counts(1050) == (214_985, 268_970)
     for n in range(1, 301):
-        lo, hi = max(2, 2 * n - 1), max(2, 4 * n - 2)
+        lo, hi = 2 * n - 1, 4 * n - 2
         for engine in ALL_ENGINES:
             length = padded_length(n, engine)
             window = [engine.predicted_counts(m) for m in range(lo, hi + 1)]
@@ -320,7 +341,7 @@ def test_padded_length_policies():
             counts = window[length - lo]
             # Never above either fixed rule: the prime >= 2n - 1, or 2n.
             assert counts <= engine.predicted_counts(next_prime(lo)), (n, engine)
-            assert counts <= engine.predicted_counts(max(2, 2 * n)), (n, engine)
+            assert counts <= engine.predicted_counts(2 * n), (n, engine)
             assert engine is not direct or length == lo
     with pytest.raises(ValueError):
         padded_length(0)
@@ -376,6 +397,9 @@ def test_linear_keeps_exact_input_exact_and_float_bits():
                 float_padded = cyclic_convolution(kernel + pad, data + pad, engine)
                 got = linear_convolution(kernel, data, engine, full=True)
                 assert bits(got) == bits(float_padded[:2 * n - 1]), (n, engine)
+    # At n = 1 every engine embeds at length 1: the bare product, -0.0 kept.
+    for engine in ALL_ENGINES:
+        assert bits(linear_convolution([-1.0], [0.0], engine, full=True)) == bits([-0.0])
 
 
 def test_linear_length_mismatch():
