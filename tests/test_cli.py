@@ -407,19 +407,27 @@ def test_non_finite_sample_names_its_file_and_line(tmp_path, capsys, command, sa
         2, "", f"primeconv: error: {bad}:6: non-finite sample {shown}\n")
 
 
-def test_convolve_overflow_exit_2(tmp_path, capsys):
-    # A library error on valid files exits 2, at n = 1 as at n = 3.
+def assert_convolve_overflow_exit_2(tmp_path, capsys, n):
     kernel, data = tmp_path / "kernel.txt", tmp_path / "data.txt"
-    for n in (3, 1):
-        write_samples(kernel, [2.0] + [0.0] * (n - 1))
-        write_samples(data, [1e308] * n)
-        for engine in ConvolutionEngine:
-            code, out, err = run_cli(capsys, "convolve", str(data), str(kernel),
-                                     "--engine", engine.value)
-            assert (code, out) == (2, "")
-            assert re.fullmatch(f"primeconv: error: the {engine.value} engine overflowed at "
-                                f"n = {n}: the input was finite, but the result has a "
-                                "non-finite sample (inf|nan)\n", err), err
+    write_samples(kernel, [2.0] + [0.0] * (n - 1))
+    write_samples(data, [1e308] * n)
+    for engine in ConvolutionEngine:
+        code, out, err = run_cli(capsys, "convolve", str(data), str(kernel),
+                                 "--engine", engine.value)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"primeconv: error: the {engine.value} engine overflowed at "
+                            f"n = {n}: the input was finite, but the result has a "
+                            "non-finite sample (inf|nan)\n", err), err
+
+
+def test_convolve_library_error_exit_2(tmp_path, capsys):
+    # A library error on valid one-sample files exits 2 and names the engine;
+    # n = 1 is a length every engine runs, so the error is an overflow.
+    assert_convolve_overflow_exit_2(tmp_path, capsys, 1)
+
+
+def test_convolve_overflow_exit_2(tmp_path, capsys):
+    assert_convolve_overflow_exit_2(tmp_path, capsys, 3)
 
 
 def test_convolve_missing_file(tmp_path, capsys):
