@@ -296,7 +296,7 @@ def cmd_convolve(args) -> int:
         )
     engine = ConvolutionEngine.from_name(args.engine)
     if args.linear:
-        result = linear_convolution(kernel, data, engine)
+        result = linear_convolution(kernel, data, engine)[:len(data)]
     else:
         result = cyclic_convolution(kernel, data, engine)
     _emit(_render_samples(result), args.out)

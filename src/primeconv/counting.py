@@ -20,7 +20,7 @@ class OpTally:
     """Mutable counter for scalar multiplications and additions.
 
     A tally is owned by a single execution at a time; counts only grow
-    while an execution runs, and reset() is meant for reuse in between.
+    while an execution runs.
     Equality compares both counts between tallies only; a tally is mutable,
     so it is unhashable.  A plain slotted class rather than a dataclass:
     the dataclass machinery costs every ``import primeconv`` several
@@ -42,10 +42,6 @@ class OpTally:
         return (self.mults, self.adds) == (other.mults, other.adds)
 
     __hash__ = None
-
-    def reset(self) -> None:
-        self.mults = 0
-        self.adds = 0
 
     @property
     def counts(self) -> tuple[int, int]:

@@ -1,7 +1,10 @@
 """The two-factor residue engine: Winograd's split of x^n - 1.
 
-Coefficients are floats or complex numbers, index k holding the
-coefficient of x**k.  The engine convolves through the factorization
+Index k of a coefficient list holds the coefficient of x**k.  A block of
+length n scales by the float 1/n, so at n >= 2 results are floats or
+complex numbers: ``Fraction`` input comes back as floats, and ``Decimal``
+input raises a ``TypeError``, since a Decimal does not multiply a float.
+The engine convolves through the factorization
 
     x^n - 1 = (x - 1) * Phi,    Phi = x^{n-1} + ... + x + 1,
 

@@ -215,12 +215,8 @@ def padded_length(n: int, engine: ConvolutionEngine = ConvolutionEngine.DIRECT) 
     return min(range(2 * n - 1, 4 * n - 1), key=engine.predicted_counts)
 
 
-def schoolbook_linear_convolution(kernel, data, full: bool = False) -> Signal:
-    """Quadratic linear convolution oracle.
-
-    Returns the first n samples by default, or the full 2n - 1 product when
-    full=True.
-    """
+def schoolbook_linear_convolution(kernel, data) -> Signal:
+    """Quadratic linear convolution oracle: the full 2n - 1 product."""
     b = as_signal(kernel).samples
     z = as_signal(data).samples
     n = len(b)
@@ -232,21 +228,20 @@ def schoolbook_linear_convolution(kernel, data, full: bool = False) -> Signal:
         for l in range(max(0, k - n + 1), min(k, n - 1) + 1):
             acc += b[l] * z[k - l]
         out.append(acc)
-    return Signal(out if full else out[:n])
+    return Signal(out)
 
 
-def linear_convolution(kernel, data, engine: ConvolutionEngine = ConvolutionEngine.DIRECT,
-                       *, full: bool = False) -> Signal:
+def linear_convolution(kernel, data, engine: ConvolutionEngine = ConvolutionEngine.DIRECT) -> Signal:
     """Linear convolution via zero-padded cyclic convolution.
 
     Both inputs are zero padded to ``padded_length(n, engine)``, the
     engine's cheapest length that holds the full product, convolved
-    cyclically, and truncated to the first n samples (or the full 2n - 1
-    when full=True).  Each input pads with abs(its first sample) * 0: 0.0
-    for float and complex input, which keeps CPython's float-only fast
-    paths, and Fraction(0) for Fraction input, which stays exact through
-    direct and fast-prime.  Int zeros would not do for either: nesting can
-    gather padding into lanes of nothing else, where 0 / q is a float.
+    cyclically, and truncated to the full 2n - 1 product.  Each input pads
+    with abs(its first sample) * 0: 0.0 for float and complex input, which
+    keeps CPython's float-only fast paths, and Fraction(0) for Fraction
+    input, which stays exact through direct and fast-prime.  Int zeros
+    would not do for either: nesting can gather padding into lanes of
+    nothing else, where 0 / q is a float.
     """
     b = as_signal(kernel)
     z = as_signal(data)
@@ -255,6 +250,4 @@ def linear_convolution(kernel, data, engine: ConvolutionEngine = ConvolutionEngi
         raise ValueError(f"kernel length {n} does not match data length {len(z)}")
     pad = padded_length(n, engine) - n
     b, z = (Signal(s.samples + (abs(s[0]) * 0,) * pad) for s in (b, z))
-    conv = cyclic_convolution(b, z, engine)
-    keep = 2 * n - 1 if full else n
-    return Signal(conv.samples[:keep])
+    return Signal(cyclic_convolution(b, z, engine).samples[:2 * n - 1])

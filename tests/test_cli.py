@@ -12,6 +12,8 @@ from primeconv.cli import build_parser, main
 from primeconv.core import Signal
 from primeconv.transforms import ConvolutionEngine, naive_dft
 
+ENGINE_NAMES = [engine.value for engine in ConvolutionEngine]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -138,7 +140,7 @@ def test_table_at_size_one(capsys):
     code, out, err = run_cli(capsys, "table", "--sizes", "1", "--format", "csv")
     assert (code, err) == (0, "")
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert [row["engine"] for row in rows] == [engine.value for engine in ConvolutionEngine]
+    assert [row["engine"] for row in rows] == ENGINE_NAMES
     for row in rows:
         assert (row["mults_measured"], row["adds_measured"], row["lower_bound"]) == ("1", "0", "1")
         assert row["max_rel_err"] == "0.000e+00"
@@ -312,7 +314,7 @@ def test_bench_requires_three_trials(capsys):
 
 # --- convolve ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["direct", "fast-prime", "winograd-two-factor"])
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
 def test_convolve_cyclic_engines(tmp_path, capsys, engine):
     data = tmp_path / "data.txt"
     kernel = tmp_path / "kernel.txt"
@@ -505,7 +507,7 @@ def test_dft_engine_choice(tmp_path, capsys):
     samples = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
     write_samples(data, samples)
     outputs = []
-    for engine in ("direct", "fast-prime", "winograd-two-factor"):
+    for engine in ENGINE_NAMES:
         code, out, _ = run_cli(capsys, "dft", str(data), "--engine", engine)
         assert code == 0
         outputs.append(parse_samples(out))
@@ -542,7 +544,7 @@ def test_repeated_dft_calls_write_identical_files(cold_rader_runners, tmp_path, 
     # The first call per engine builds the runner; the second reuses it.
     data = tmp_path / "data.txt"
     write_samples(data, complex_samples(rng_for(60), 29))
-    for engine in ("direct", "fast-prime", "winograd-two-factor"):
+    for engine in ENGINE_NAMES:
         written = []
         for call in range(2):
             target = tmp_path / f"{engine}-{call}.txt"
@@ -571,7 +573,7 @@ def test_dft_calls_at_one_prime_share_one_parser_and_one_plan(tmp_path, capsys, 
     data = tmp_path / "data.txt"
     write_samples(data, complex_samples(rng_for(61), 37))
     outputs = []
-    for engine in ("direct", "fast-prime", "winograd-two-factor"):
+    for engine in ENGINE_NAMES:
         code, out, _ = run_cli(capsys, "dft", str(data), "--engine", engine)
         assert code == 0
         outputs.append(parse_samples(out))

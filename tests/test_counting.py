@@ -34,14 +34,6 @@ def test_complex_operations_cost_one_unit():
     assert tally.counts == (1, 1)
 
 
-def test_reset_clears_both_counters():
-    tally = OpTally()
-    counted_mul(1.0, 1.0, tally)
-    counted_add(1.0, 1.0, tally)
-    tally.reset()
-    assert tally.counts == (0, 0)
-
-
 def test_tally_accumulates_across_calls():
     tally = OpTally()
     acc = 0.0

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import pytest
 
-from helpers import complex_samples, real_samples, rng_for
+from helpers import real_samples, rng_for
 from primeconv.core import direct_cyclic_convolution, max_relative_error
 from primeconv.counting import OpTally
 from primeconv.fast import (
@@ -17,7 +17,6 @@ from primeconv.fast import (
     predicted_counts,
 )
 from primeconv.nesting import NestedPlan, UnitPlan, block_lengths, nest
-from primeconv.transforms import ConvolutionEngine, cyclic_convolution
 from primeconv.verification import (
     block_plan,
     explicit_plan_weights,
@@ -79,17 +78,6 @@ def test_block_lengths_are_ascending_prime_powers():
             while rest % d == 0:
                 rest //= d
             assert rest == 1, (n, q)
-
-
-def test_no_engine_warns_at_composite_prime_power_lengths():
-    # A part such as 4, 8, 9 or 16 runs as one exact block, silently.
-    rng = rng_for(24)
-    for n in (4, 8, 9, 12, 16):
-        kernel, data = real_samples(rng, n), real_samples(rng, n)
-        want = direct_cyclic_convolution(kernel, data)
-        for engine in ConvolutionEngine:
-            got = cyclic_convolution(kernel, data, engine)
-            assert max_relative_error(got, want) < 1e-12, (engine, n)
 
 
 def test_plan_nests_over_the_smallest_part():
@@ -156,30 +144,6 @@ def test_fast_fixed_example():
     plan = plan_create([1.0, 2.0, 3.0])
     out = fast_cyclic_convolution(plan, [4.0, 5.0, 6.0])
     assert max_relative_error(out, (31.0, 31.0, 28.0)) < 1e-12
-
-
-def test_fast_agrees_with_direct_real():
-    rng = rng_for(12)
-    for n in range(1, 24):
-        kernel = real_samples(rng, n)
-        plan = plan_create(kernel)
-        for _ in range(10):
-            data = real_samples(rng, n)
-            got = fast_cyclic_convolution(plan, data)
-            want = direct_cyclic_convolution(kernel, data)
-            assert max_relative_error(got, want) < 1e-10
-
-
-def test_fast_agrees_with_direct_complex():
-    rng = rng_for(13)
-    for n in (2, 3, 5, 7, 11, 12, 16, 60, 210, 498):
-        kernel = complex_samples(rng, n)
-        plan = plan_create(kernel)
-        for _ in range(5):
-            data = complex_samples(rng, n)
-            got = fast_cyclic_convolution(plan, data)
-            want = direct_cyclic_convolution(kernel, data)
-            assert max_relative_error(got, want) < 1e-9
 
 
 def test_fast_delta_kernel_recovers_data():

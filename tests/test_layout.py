@@ -6,9 +6,11 @@ sits below them; the engines reach it through its public names and never
 through each other, and each hands it its plan type, which builds and
 counts the engine's block; tools that only verification uses live there.  The
 package root exports the engine protocol, the transforms and the oracles;
-each engine's own names stay at its module.  A one-shot ``convolve`` or
-``dft`` loads neither ``verification`` nor the report formats: the CLI
-imports them where they are used, and ``verify`` loads no ``dataclasses``.
+each engine's own names stay at its module.  Outside ``transforms`` no
+module names an engine but direct: the rest iterate ``ConvolutionEngine``.
+A one-shot ``convolve`` or ``dft`` loads neither ``verification`` nor the
+report formats: the CLI imports them where they are used, and ``verify``
+loads no ``dataclasses``.
 """
 
 import ast
@@ -89,6 +91,18 @@ def test_nesting_has_one_length_domain():
 @pytest.mark.parametrize("module", ["fast", "polycrt", "transforms"])
 def test_no_private_name_is_imported(module):
     assert [name for _, name in imports(module) if name.startswith("_")] == []
+
+
+def test_only_transforms_names_an_engine_other_than_direct():
+    # ConvolutionEngine is the one list of engines: the other modules iterate
+    # it, so a new member reaches verify's suites without being named there.
+    others = {engine.name for engine in transforms.ConvolutionEngine} - {"DIRECT"}
+    named = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "transforms":
+            named += [(path.stem, node.attr) for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and node.attr in others]
+    assert named == []
 
 
 def test_root_exports_the_protocol_transforms_and_oracles_only():

