@@ -3,8 +3,9 @@
 Provides the engine protocol (``ConvolutionEngine``: kernel preparation and
 closed-form budgets), a naive DFT oracle, prime-length DFT via the Rader
 reindexing (one length p-1 cyclic convolution against a fixed twiddle
-kernel), and linear convolution by zero padding to the length where the
-chosen engine's predicted count is least.
+kernel, run as two of length (p-1)/2 at p = 3 mod 4), and linear
+convolution by zero padding to the length where the chosen engine's
+predicted count is least.
 """
 
 import cmath
@@ -160,15 +161,55 @@ def dft_plan(p: int) -> DftPlan:
 
 @lru_cache(maxsize=None)
 def _rader_runner(kernel: Signal, engine: ConvolutionEngine):
-    """``engine.prepare(kernel)``, once per (twiddle kernel, engine) per process.
+    """Rader's convolution against ``kernel`` through ``engine``: a function
+    from the p - 1 permuted samples to the p - 1 convolution samples, built
+    once per (twiddle kernel, engine) per process.
+
+    Rader's kernel has kernel[t + h] = conj(kernel[t]), h = (p - 1) / 2,
+    since g^h = -1 (mod p).  Its real part has period h and its imaginary
+    part is anti-periodic, so the length-2h convolution of a splits into a
+    cyclic one of u[s] = a[s] + a[s + h] with the real part and a
+    negacyclic one of a[s] - a[s + h] with the imaginary part.  When h is
+    odd (p = 3 mod 4) the sign twist (-1)^t makes the second cyclic too:
+    v[s] = (-1)^s (a[s] - a[s + h]), an odd s swapping the subtraction,
+    runs against kernel (-1)^t * i * Im kernel[t], giving C, and with A
+    the first half's output, conv[l] = A[l] + (-1)^l C[l] and
+    conv[l + h] = A[l] - (-1)^l C[l].  So two engine runs of length h
+    and 4h adds replace one run of length 2h: direct's (2h)^2 products
+    become 2h^2.  Both half kernels stay complex, so every product stays
+    complex * complex.  At even h (p = 1 mod 4) and at p = 2 the engine
+    runs the whole kernel once.
 
     Keyed by value, so equal twiddle kernels share one runner, whichever
     plan holds them; a ``Signal`` keeps its hash, so a warm lookup costs
-    O(1), not a pass over the p - 1 twiddles.  The runner looks the engine
-    function up when called, so replacing ``transforms.<name>`` still
-    reaches every later DFT.
+    O(1), not a pass over the p - 1 twiddles.  The engine runners look the
+    engine function up when called, so replacing ``transforms.<name>``
+    still reaches every later DFT.
     """
-    return engine.prepare(kernel)
+    if len(kernel) % 4 != 2:
+        run = engine.prepare(kernel)
+        return lambda a: run(a).samples
+    h = len(kernel) // 2
+    half = kernel.samples[:h]
+    run_real = engine.prepare([complex(w.real, 0.0) for w in half])
+    run_imag = engine.prepare([complex(0.0, -w.imag if t % 2 else w.imag)
+                               for t, w in enumerate(half)])
+
+    def split(a):
+        low, high = a[:h], a[h:]
+        v = [None] * h
+        v[::2] = [x - y for x, y in zip(low[::2], high[::2])]
+        v[1::2] = [y - x for x, y in zip(low[1::2], high[1::2])]
+        real = run_real([x + y for x, y in zip(low, high)]).samples
+        imag = run_imag(v).samples
+        plus = [x + y for x, y in zip(real, imag)]
+        minus = [x - y for x, y in zip(real, imag)]
+        first = plus[:]
+        first[1::2] = minus[1::2]
+        minus[1::2] = plus[1::2]
+        return first + minus
+
+    return split
 
 
 def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine.DIRECT) -> Signal:
@@ -176,12 +217,15 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
 
     X[0] is the plain sample sum; for k >= 1 the bins are x[0] plus the
     cyclic convolution of the permuted input with the twiddle kernel.
+    At p = 3 (mod 4) that convolution runs as two of length (p-1)/2
+    through the kernel's conjugate symmetry (see ``_rader_runner``), so
+    at p = 499 direct makes 124,002 products, not 248,004.
     Any engine works at every prime, p = 2 through one length-1 product.
-    Fast-prime and two-factor nest over the prime-power parts of p - 1
-    (498 = 2 * 3 * 83 at p = 499), and a part that is a composite prime
-    power (4 in 12 = 3 * 4, at p = 13) runs as one block.  The
-    engine's prepared twiddle kernel is built once per (p, engine) per
-    process and kept, unbounded like ``dft_plan``, at O(p) per entry.
+    Fast-prime and two-factor nest over the prime-power parts of the
+    length they run (249 = 3 * 83 at p = 499), and a part that is a
+    composite prime power (4 in 12 = 3 * 4, at p = 13) runs as one block.
+    The engine's prepared twiddle kernels are built once per (p, engine)
+    per process and kept, unbounded like ``dft_plan``, at O(p) per entry.
     """
     x = as_signal(data)
     p = plan.length
@@ -191,7 +235,7 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     conv = _rader_runner(plan.kernel, engine)([xs[idx] for idx in plan.input_order])
     out = [complex(reduce(add, xs, 0))] * p  # X[0]; the scatter fills bins 1 .. p-1
     first = xs[0]
-    for bin_index, value in zip(plan.output_order, conv.samples):
+    for bin_index, value in zip(plan.output_order, conv):
         out[bin_index] = first + value
     return Signal(out)
 

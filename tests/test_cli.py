@@ -540,6 +540,29 @@ def test_dft_out_file_bytes(tmp_path, capsys, engine):
     assert target.read_bytes() == want.encode()
 
 
+# The p = 7 twin: 6 = 2 (mod 4), so Rader runs two length-3 convolutions
+# and combines them, and these are the signs that split leaves.
+DFT_SPLIT_ZERO_IMAG_SIGNS = {
+    "direct": ("0.0", "0.0", "0.0", "0.0", "0.0", "-0.0", "0.0"),
+    "fast-prime": ("0.0", "0.0", "0.0", "-0.0", "0.0", "0.0", "-0.0"),
+    "winograd-two-factor": ("0.0", "0.0", "0.0", "0.0", "0.0", "0.0", "0.0"),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(DFT_SPLIT_ZERO_IMAG_SIGNS))
+def test_dft_split_out_file_bytes(tmp_path, capsys, engine):
+    real = tmp_path / "real.txt"
+    real.write_text("2.0\n-0.0\n0.0\n-0.0\n0.0\n-0.0\n0.0\n")
+    mixed = tmp_path / "complex.txt"
+    mixed.write_text("-1.5 -0.0\n-0.0 0.0\n-0.0 0.0\n-0.0 -0.0\n-0.0 -0.0\n-0.0 0.0\n-0.0 0.0\n")
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, "dft", str(real), "--engine", engine, "--out", str(target))[0] == 0
+    assert target.read_bytes() == b"2.0 0.0\n" * 7
+    assert run_cli(capsys, "dft", str(mixed), "--engine", engine, "--out", str(target))[0] == 0
+    want = "".join(f"-1.5 {imag}\n" for imag in DFT_SPLIT_ZERO_IMAG_SIGNS[engine])
+    assert target.read_bytes() == want.encode()
+
+
 def test_repeated_dft_calls_write_identical_files(cold_rader_runners, tmp_path, capsys):
     # The first call per engine builds the runner; the second reuses it.
     data = tmp_path / "data.txt"

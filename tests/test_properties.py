@@ -83,10 +83,15 @@ def test_rader_dft_matches_naive_dft(engine, p, data):
     times that (plus the twiddles' own rounding).  Rader's bins are x[0]
     plus one output of a length-(p-1) cyclic convolution against a
     unit-modulus kernel, a sum of p - 1 terms of total size at most
-    ||x||_1.  Direct and two-factor accumulate about (p-1) * u times that;
-    fast-prime's weights (|w| <= 2) and data differences keep each block's
-    terms within a few times it, and below 101 it nests at most three
-    blocks deep.  The factor 64 covers those growths and complex products.
+    ||x||_1.  At p = 3 (mod 4) that convolution runs as two of length
+    (p-1)/2 on u[s] = a[s] + a[s+h] and v[s] = +-(a[s] - a[s+h]), each at
+    most double a term, against the twiddles' real and imaginary parts,
+    and two roundings combine them; the halves' terms still total at most
+    2 * ||x||_1.  Direct and two-factor accumulate about (p-1) * u times
+    that; fast-prime's weights (|w| <= 2) and data differences keep each
+    block's terms within a few times it, and below 101 it nests at most
+    three blocks deep.  The factor 64 covers those growths and complex
+    products.
     The lengths p - 1 include composite prime-power parts (12, 36, 40, 72,
     96), so fast-prime runs its nested plans here.
     """

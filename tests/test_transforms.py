@@ -211,6 +211,8 @@ def test_dft_plan_is_kept_per_prime_and_bad_lengths_still_raise():
 def test_dft_plan_matches_power_definition():
     # input_order[m] = g^-m, output_order[l] = g^l and kernel[t] =
     # exp(-2 pi i g^t / p), each power by pow(), as the plan defines them.
+    # At p = 3 (mod 4) Rader's split reads only kernel[:h], so kernel[t + h]
+    # must be conj(kernel[t]) to within the unit-modulus twiddles' rounding.
     for p in PRIMES_BELOW_600:
         plan = dft_plan(p)
         g = find_primitive_root(p)
@@ -220,6 +222,10 @@ def test_dft_plan_matches_power_definition():
         assert plan.output_order == tuple(pow(g, i, p) for i in range(p - 1))
         want = [cmath.exp(complex(0.0, -2.0 * math.pi * pow(g, t, p) / p)) for t in range(p - 1)]
         assert bits(plan.kernel) == bits(want)
+        if p % 4 == 3:
+            h = (p - 1) // 2
+            for t in range(h):
+                assert abs(plan.kernel[t + h] - plan.kernel[t].conjugate()) <= 8 * math.ulp(1.0)
 
 
 def test_rader_matches_naive_all_engines():
@@ -272,7 +278,8 @@ def test_rader_builds_each_engine_plan_once_per_prime(cold_rader_runners, monkey
         for each in (plan, twin):
             for engine in ALL_ENGINES:
                 assert max_relative_error(rader_dft(each, data, engine), want) < 1e-9
-    assert built == ["plan_create", "two_factor_plan"]
+    # 31 = 3 (mod 4): Rader runs two half kernels, each planned once.
+    assert built == ["plan_create"] * 2 + ["two_factor_plan"] * 2
 
 
 def test_rader_runner_lookup_hashes_the_twiddles_once(cold_rader_runners):
@@ -302,20 +309,50 @@ def test_rader_runner_lookup_hashes_the_twiddles_once(cold_rader_runners):
 def test_engine_replaced_after_a_first_dft_reaches_the_next(cold_rader_runners, monkeypatch,
                                                             engine, name):
     # ConvolutionEngine looks its runners up when called, so a kept Rader
-    # runner still reaches a replacement made after it was built.
-    data = complex_samples(rng_for(48), 13)
-    plan = dft_plan(13)
-    first = rader_dft(plan, data, engine)
-    calls = []
+    # runner still reaches a replacement made after it was built: once at
+    # p = 13, and at p = 31 once per half.
+    original = getattr(transforms, name)
+    for p, runs in ((13, 1), (31, 2)):
+        data = complex_samples(rng_for(48), p)
+        plan = dft_plan(p)
+        first = rader_dft(plan, data, engine)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(transforms, name, spy)
+        assert bits(rader_dft(plan, data, engine)) == bits(first)
+        assert len(calls) == runs, p
+        monkeypatch.setattr(transforms, name, original)
+
+
+@pytest.mark.parametrize("engine, name, counts", [
+    (ConvolutionEngine.DIRECT, "direct_cyclic_convolution", (124_002, 123_504)),
+    (ConvolutionEngine.FAST_PRIME, "fast_cyclic_convolution", (27_232, 83_340)),
+    (ConvolutionEngine.WINOGRAD_TWO_FACTOR, "winograd_two_factor_convolution",
+     (67_426, 72_336)),
+], ids=["direct", "fast-prime", "two-factor"])
+def test_rader_at_499_runs_two_half_length_convolutions(cold_rader_runners, monkeypatch,
+                                                        engine, name, counts):
+    # p - 1 = 498 = 2 (mod 4), so Rader runs two convolutions of length 249
+    # through the twiddle kernel's conjugate symmetry: twice the engine's
+    # budget at 249, where direct's (2h)^2 = 248,004 products become 2h^2.
+    # Rader's own 4h = 996 adds form the halves' inputs and combine them.
+    lengths, tally = [], OpTally()
     original = getattr(transforms, name)
 
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
+    def spy(plan, data, _tally=None):
+        lengths.append(len(data))
+        return original(plan, data, tally)
 
     monkeypatch.setattr(transforms, name, spy)
-    assert bits(rader_dft(plan, data, engine)) == bits(first)
-    assert len(calls) == 1
+    data = complex_samples(rng_for(50), 499)
+    got = rader_dft(dft_plan(499), data, engine)
+    assert lengths == [249, 249]
+    assert tally.counts == counts == tuple(2 * c for c in engine.predicted_counts(249))
+    assert max_relative_error(got, naive_dft(data)) < 1e-12
 
 
 def test_rader_length_mismatch():
