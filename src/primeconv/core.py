@@ -89,11 +89,14 @@ def _is_finite(value) -> bool:
         return True
 
 
-def overflow_error(engine: str, n: int, err: ValueError) -> ValueError:
-    """The error an engine raises on finite input when ``Signal`` rejects its
-    length-n result with ``err``: it names the engine and n."""
-    return ValueError(f"the {engine} engine overflowed at n = {n}: the input was "
-                      f"finite, but the result has a {err}")
+def checked_result(values, engine: str, n: int) -> Signal:
+    """``values``, computed under ``engine`` at length n from finite input,
+    as a Signal; a non-finite sample raises the error naming the engine and n."""
+    try:
+        return Signal(values)
+    except ValueError as err:
+        raise ValueError(f"the {engine} engine overflowed at n = {n}: the input was "
+                         f"finite, but the result has a {err}") from None
 
 
 def as_signal(values) -> Signal:
@@ -166,10 +169,7 @@ def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Sig
         out.append(acc)
     tally.mults += n * n
     tally.adds += n * (n - 1)
-    try:
-        return Signal(out)
-    except ValueError as err:
-        raise overflow_error("direct", n, err) from None
+    return checked_result(out, "direct", n)
 
 
 def direct_predicted_counts(n: int) -> tuple[int, int]:

@@ -15,7 +15,7 @@ from itertools import chain
 from operator import add, neg, sub
 from typing import NamedTuple
 
-from .core import Signal, as_signal, factorize, overflow_error
+from .core import Signal, as_signal, checked_result, factorize
 from .counting import OpTally, Scalar
 
 
@@ -25,8 +25,7 @@ class NestedPlan(NamedTuple):
 
     Attributes:
         length: signal length n.
-        order: order[a * m + c] is the k with k = a (mod q) and k = c
-            (mod m), the Good-Thomas map read row by row.
+        order: ``good_thomas_order(q, m)``, m = n / q.
         block: the engine's block plan of length q, q the smallest
             prime-power part of n, whose every kernel coefficient is the
             inner plan (length m) of one kernel vector.
@@ -71,6 +70,12 @@ def block_lengths(n: int) -> tuple[int, ...]:
     return (n,) if len(parts) == 1 else tuple(sorted([p ** e for p, e in parts]))
 
 
+def good_thomas_order(q: int, m: int) -> tuple:
+    """The Good-Thomas map of n = q * m, q and m coprime, read row by row:
+    order[a * m + c] is the k < n with k = a (mod q) and k = c (mod m)."""
+    return tuple(sorted(range(q * m), key=lambda k: (k % q, k % m)))
+
+
 def nest(kernel, kind):
     """The plan of ``kernel`` for the engine whose block plan type is
     ``kind``, nested over the prime-power parts of its length n, ascending:
@@ -90,15 +95,13 @@ def _nest(b: tuple, kind):
     if len(blocks) < 2:
         return kind.build(b) if blocks else UnitPlan(kind.engine, b[0])
     q, m = blocks[0], n // blocks[0]
-    order = [0] * n
-    for k in range(n):
-        order[k % q * m + k % m] = k
+    order = good_thomas_order(q, m)
     outer = kind.build(_lane_rows(b, order, m, OpTally()))
 
     def inner_plan(vector):
         return _nest(tuple(vector.lanes), kind)
 
-    return NestedPlan(n, tuple(order), outer._make(
+    return NestedPlan(n, order, outer._make(
         tuple(map(inner_plan, field)) if isinstance(field, tuple) else inner_plan(field)
         for field in outer))
 
@@ -153,10 +156,7 @@ def run_plan(plan, data, tally: OpTally | None) -> Signal:
     if len(z) != plan.length:
         raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
     out = plan.run(z, OpTally() if tally is None else tally)
-    try:
-        return Signal(out)
-    except ValueError as err:
-        raise overflow_error(plan.engine, len(z), err) from None
+    return checked_result(out, plan.engine, len(z))
 
 
 def nested_counts(n: int, kind) -> tuple[int, int]:

@@ -3,7 +3,7 @@
 Provides the engine protocol (``ConvolutionEngine``: kernel preparation and
 closed-form budgets), a naive DFT oracle, prime-length DFT via the Rader
 reindexing (one length p-1 cyclic convolution against a fixed twiddle
-kernel, run as two of length (p-1)/2 at p = 3 mod 4), and linear
+kernel, nested as 2 x (p-1)/2 at p = 3 mod 4), and linear
 convolution by zero padding to the length where the chosen engine's
 predicted count is least.
 """
@@ -12,7 +12,7 @@ import cmath
 import math
 from enum import Enum
 from functools import lru_cache, reduce
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from .counting import OpTally
@@ -20,11 +20,13 @@ from .core import (
     Signal,
     as_signal,
     direct_cyclic_convolution,
+    checked_result,
     direct_predicted_counts,
     factorize,
 )
 from .fast import fast_cyclic_convolution, plan_create
 from .fast import predicted_counts as fast_predicted_counts
+from .nesting import good_thomas_order
 from .polycrt import (
     two_factor_plan,
     two_factor_predicted_counts,
@@ -160,54 +162,46 @@ def dft_plan(p: int) -> DftPlan:
 
 
 @lru_cache(maxsize=None)
-def _rader_runner(kernel: Signal, engine: ConvolutionEngine):
-    """Rader's convolution against ``kernel`` through ``engine``: a function
-    from the p - 1 permuted samples to the p - 1 convolution samples, built
-    once per (twiddle kernel, engine) per process.
+def _rader_runner(plan: DftPlan, engine: ConvolutionEngine):
+    """Rader's convolution for ``plan`` through ``engine``, built once per
+    (plan, engine) per process: a function from the p samples to (bin,
+    convolution sample) pairs for bins 1 .. p-1.
 
-    Rader's kernel has kernel[t + h] = conj(kernel[t]), h = (p - 1) / 2,
-    since g^h = -1 (mod p).  Its real part has period h and its imaginary
-    part is anti-periodic, so the length-2h convolution of a splits into a
-    cyclic one of u[s] = a[s] + a[s + h] with the real part and a
-    negacyclic one of a[s] - a[s + h] with the imaginary part.  When h is
-    odd (p = 3 mod 4) the sign twist (-1)^t makes the second cyclic too:
-    v[s] = (-1)^s (a[s] - a[s + h]), an odd s swapping the subtraction,
-    runs against kernel (-1)^t * i * Im kernel[t], giving C, and with A
-    the first half's output, conv[l] = A[l] + (-1)^l C[l] and
-    conv[l + h] = A[l] - (-1)^l C[l].  So two engine runs of length h
-    and 4h adds replace one run of length 2h: direct's (2h)^2 products
-    become 2h^2.  Both half kernels stay complex, so every product stays
-    complex * complex.  At even h (p = 1 mod 4) and at p = 2 the engine
-    runs the whole kernel once.
+    At p = 3 (mod 4) h = (p - 1) / 2 is odd, and length 2h nests as the
+    Good-Thomas 2 x h: ``good_thomas_order(2, h)``, composed here with the
+    plan's input and output orders, makes a request one gather into two
+    rows and one scatter of two.  Between them the 2-point block runs the
+    rows' sum and difference through two length-h engine runs, A and C,
+    and returns A + C and A - C: 4h adds, and direct's (2h)^2 products
+    become 2h^2.  Its kernels, the kernel rows' half sum and difference,
+    are computed from kernel[:h] alone, as kernel[t + h] = conj(kernel[t])
+    (g^h = -1 mod p).  At p = 1 (mod 4) and p = 2 the engine runs the
+    whole kernel once.
 
-    Keyed by value, so equal twiddle kernels share one runner, whichever
-    plan holds them; a ``Signal`` keeps its hash, so a warm lookup costs
-    O(1), not a pass over the p - 1 twiddles.  The engine runners look the
-    engine function up when called, so replacing ``transforms.<name>``
-    still reaches every later DFT.
+    Keyed by value, so equal plans share one runner; a ``Signal`` keeps
+    its hash, so a warm lookup hashes the index orders, not the twiddles.
+    The engine runners look the engine function up when called, so
+    replacing ``transforms.<name>`` still reaches every later DFT.
     """
+    kernel, p = plan.kernel, plan.length
     if len(kernel) % 4 != 2:
         run = engine.prepare(kernel)
-        return lambda a: run(a).samples
+        return lambda xs: zip(plan.output_order, run([xs[i] for i in plan.input_order]).samples)
     h = len(kernel) // 2
-    half = kernel.samples[:h]
-    run_real = engine.prepare([complex(w.real, 0.0) for w in half])
-    run_imag = engine.prepare([complex(0.0, -w.imag if t % 2 else w.imag)
-                               for t, w in enumerate(half)])
+    order = good_thomas_order(2, h)
+    rows = [kernel[k] if k < h else kernel[k - h].conjugate() for k in order]
+    pairs = list(zip(rows[:h], rows[h:]))
+    run_sum = engine.prepare([(x + y) / 2 for x, y in pairs])
+    run_diff = engine.prepare([(x - y) / 2 for x, y in pairs])
+    gather = [plan.input_order[k] for k in order]
+    even, odd = gather[:h], gather[h:]
+    bins = [plan.output_order[k] for k in order]
 
-    def split(a):
-        low, high = a[:h], a[h:]
-        v = [None] * h
-        v[::2] = [x - y for x, y in zip(low[::2], high[::2])]
-        v[1::2] = [y - x for x, y in zip(low[1::2], high[1::2])]
-        real = run_real([x + y for x, y in zip(low, high)]).samples
-        imag = run_imag(v).samples
-        plus = [x + y for x, y in zip(real, imag)]
-        minus = [x - y for x, y in zip(real, imag)]
-        first = plus[:]
-        first[1::2] = minus[1::2]
-        minus[1::2] = plus[1::2]
-        return first + minus
+    def split(xs):
+        row0, row1 = [xs[i] for i in even], [xs[i] for i in odd]
+        a = run_sum(checked_result(map(add, row0, row1), engine.value, p)).samples
+        c = run_diff(checked_result(map(sub, row0, row1), engine.value, p)).samples
+        return zip(bins, [*map(add, a, c), *map(sub, a, c)])
 
     return split
 
@@ -217,27 +211,27 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
 
     X[0] is the plain sample sum; for k >= 1 the bins are x[0] plus the
     cyclic convolution of the permuted input with the twiddle kernel.
-    At p = 3 (mod 4) that convolution runs as two of length (p-1)/2
-    through the kernel's conjugate symmetry (see ``_rader_runner``), so
-    at p = 499 direct makes 124,002 products, not 248,004.
+    At p = 3 (mod 4) that convolution nests as the Good-Thomas 2 x (p-1)/2
+    (see ``_rader_runner``), so at p = 499 direct makes 124,002 products,
+    not 248,004.
     Any engine works at every prime, p = 2 through one length-1 product.
     Fast-prime and two-factor nest over the prime-power parts of the
     length they run (249 = 3 * 83 at p = 499), and a part that is a
     composite prime power (4 in 12 = 3 * 4, at p = 13) runs as one block.
     The engine's prepared twiddle kernels are built once per (p, engine)
     per process and kept, unbounded like ``dft_plan``, at O(p) per entry.
+    An overflow from finite samples raises the engine's overflow error.
     """
     x = as_signal(data)
     p = plan.length
     if len(x) != p:
         raise ValueError(f"plan length {p} does not match data length {len(x)}")
     xs = x.samples
-    conv = _rader_runner(plan.kernel, engine)([xs[idx] for idx in plan.input_order])
     out = [complex(reduce(add, xs, 0))] * p  # X[0]; the scatter fills bins 1 .. p-1
     first = xs[0]
-    for bin_index, value in zip(plan.output_order, conv):
+    for bin_index, value in _rader_runner(plan, engine)(xs):
         out[bin_index] = first + value
-    return Signal(out)
+    return checked_result(out, engine.value, p)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -563,6 +563,18 @@ def test_dft_split_out_file_bytes(tmp_path, capsys, engine):
     assert target.read_bytes() == want.encode()
 
 
+def test_dft_overflow_exit_2(tmp_path, capsys):
+    # At p = 7 the Rader split's row sums overflow before any engine runs.
+    data = tmp_path / "data.txt"
+    write_samples(data, [1.5e308, -1.5e308] * 3 + [1.5e308])
+    for engine in ConvolutionEngine:
+        code, out, err = run_cli(capsys, "dft", str(data), "--engine", engine.value)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"primeconv: error: the {engine.value} engine overflowed at "
+                            "n = 7: the input was finite, but the result has a "
+                            "non-finite sample -?inf\n", err), err
+
+
 def test_repeated_dft_calls_write_identical_files(cold_rader_runners, tmp_path, capsys):
     # The first call per engine builds the runner; the second reuses it.
     data = tmp_path / "data.txt"

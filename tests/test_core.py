@@ -116,7 +116,7 @@ def test_as_signal_passthrough():
 
 # --- primes -----------------------------------------------------------------
 
-def test_is_prime_small_values():
+def test_factorize_recognises_the_primes_below_40():
     primes_below_40 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
     for n in range(1, 40):
         assert (factorize(n) == ((n, 1),)) == (n in primes_below_40)
@@ -126,7 +126,7 @@ def test_is_prime_small_values():
             factorize(bad)
 
 
-def test_prime_factors():
+def test_factorize_small_values():
     assert factorize(2) == ((2, 1),)
     assert factorize(12) == ((2, 2), (3, 1))
     assert factorize(97) == ((97, 1),)

@@ -39,7 +39,8 @@ MODULE_NAMES = {
            "multiplication_lower_bound"),
     polycrt: ("TwoFactorPlan", "two_factor_plan", "winograd_two_factor_convolution",
               "two_factor_predicted_counts", "poly_mul"),
-    nesting: ("NestedPlan", "UnitPlan", "block_lengths", "nest", "nested_counts"),
+    nesting: ("NestedPlan", "UnitPlan", "block_lengths", "good_thomas_order", "nest",
+              "nested_counts"),
     core: ("as_signal", "direct_predicted_counts", "factorize"),
     transforms: ("find_primitive_root",),
 }
@@ -86,6 +87,11 @@ def test_each_engine_builds_and_counts_its_block_on_its_plan_type(module, kind):
 def test_nesting_has_one_length_domain():
     # n = 1 is the nest over no parts; no engine-named length check remains.
     assert not {"require_length", "kernel_blocks"} & set(vars(nesting))
+
+
+def test_rader_reads_the_good_thomas_order_from_nesting():
+    # Rader's 2 x h split is a Good-Thomas nest: nesting builds its order.
+    assert ("nesting", "good_thomas_order") in imports("transforms")
 
 
 @pytest.mark.parametrize("module", ["fast", "polycrt", "transforms"])

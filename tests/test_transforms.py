@@ -355,6 +355,35 @@ def test_rader_at_499_runs_two_half_length_convolutions(cold_rader_runners, monk
     assert max_relative_error(got, naive_dft(data)) < 1e-12
 
 
+def alternating_extremes(p: int) -> list:
+    return [1.5e308 if k % 2 == 0 else -1.5e308 for k in range(p)]
+
+
+# (p, samples, n): finite samples whose DFT overflows, and the n the error
+# names.  At p = 3 (mod 4) the rows' sum or difference overflows, named at
+# the DFT's length p; at p = 5 and 13 the engine's own run at p - 1 does;
+# at p = 2 the x[0] + scatter does, and at the "sum" case only X[0].
+RADER_OVERFLOWS = {
+    "p=2": (2, alternating_extremes(2), 2),
+    "p=3": (3, alternating_extremes(3), 3),
+    "p=5": (5, alternating_extremes(5), 4),
+    "p=7": (7, alternating_extremes(7), 7),
+    "p=11": (11, alternating_extremes(11), 11),
+    "p=13": (13, alternating_extremes(13), 12),
+    "sum": (5, [4e307] * 5, 5),
+}
+
+
+@pytest.mark.parametrize("case", list(RADER_OVERFLOWS))
+@pytest.mark.parametrize("engine", ALL_ENGINES, ids=["direct", "fast-prime", "two-factor"])
+def test_rader_overflow_names_the_engine_and_length(engine, case):
+    p, data, n = RADER_OVERFLOWS[case]
+    with pytest.raises(ValueError, match=rf"^the {engine.value} engine overflowed at "
+                                         rf"n = {n}: the input was finite, but the result "
+                                         rf"has a non-finite sample "):
+        rader_dft(dft_plan(p), data, engine)
+
+
 def test_rader_length_mismatch():
     plan = dft_plan(5)
     with pytest.raises(ValueError, match="plan length 5"):
