@@ -1,4 +1,4 @@
-"""Materialized-matrix oracles, single-block traces and the suites behind
+"""Materialized-matrix oracles, single-block plans and the suites behind
 ``primeconv verify``.
 
 Production code never builds these matrices; they exist so the optimized
@@ -11,7 +11,10 @@ the oracles are exact.  ``verify`` draws real samples, converts them to
 ``Fraction`` without rounding, and checks the paper's matrix-form lemmas
 (pair-table antisymmetry, zero-sum corrections, the identity decomposition
 and the seed matrix's rank) as exact identities; only the equivalence,
-CRT and Rader suites compare floats against a tolerance.
+CRT and Rader suites compare floats against a tolerance.  The two lemmas
+about the block are checked on the output of its public ``run``: it must
+equal the rank-one base term minus the pair table's rows, and minus the
+oracle's corrections.
 """
 
 from fractions import Fraction
@@ -20,9 +23,9 @@ from operator import add
 from random import Random
 from typing import NamedTuple
 
-from .core import Signal, as_signal, direct_cyclic_convolution, max_relative_error
-from .counting import OpTally, Scalar
-from .fast import FastPlan, _execute
+from .core import as_signal, direct_cyclic_convolution, max_relative_error
+from .counting import OpTally
+from .fast import FastPlan
 from .polycrt import two_factor_plan, two_factor_recombine
 from .transforms import ConvolutionEngine, cyclic_convolution, dft_plan, naive_dft, rader_dft
 
@@ -41,7 +44,7 @@ def complex_vector(rng: Random, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Single-block traces.
+# Single-block plans on aligned data.
 
 def reverse_permute(signal) -> tuple:
     """Reversal alignment: out[0] = in[0], out[k] = in[n - k].
@@ -61,34 +64,6 @@ def block_plan(kernel) -> FastPlan:
     if len(b) < 2:
         raise ValueError(f"a single-block plan needs length >= 2, got {len(b)}")
     return FastPlan.build(b)
-
-
-class ConvolutionTrace(NamedTuple):
-    """Intermediate values of one single-block run.
-
-    Fields mirror the execution: ``aligned`` is the reversal-aligned data,
-    ``base`` the rank-one term, ``component_sums`` the correction vector
-    whose entries sum to zero exactly as computed, and ``output`` the
-    convolution result.
-    """
-
-    aligned: tuple
-    base: Scalar
-    component_sums: tuple
-    output: Signal
-
-
-def trace_convolution(plan: FastPlan, data) -> ConvolutionTrace:
-    """Run a single-block plan and expose its intermediates (plain mode)."""
-    if not isinstance(plan, FastPlan):
-        raise ValueError(f"trace_convolution needs a single-block plan; the length-"
-                         f"{plan.length} plan is not one (build one with block_plan)")
-    z = as_signal(data)
-    if len(z) != plan.length:
-        raise ValueError(f"plan length {plan.length} does not match data length {len(z)}")
-    y = reverse_permute(z)
-    base, sums, out = _execute(plan, y, OpTally())
-    return ConvolutionTrace(y, base, tuple(sums), Signal(out))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +169,8 @@ def pair_table_rows(plan: FastPlan, y) -> tuple:
     """Row sums of the full pair table of a single-block plan on aligned
     data ``y``, both triangles: row[i] = sum_j w[(i + j) mod n] * (y[j] - y[i]).
 
-    The engine folds the strict upper triangle only, so by antisymmetry its
-    component sums equal these rows.
+    The block folds the strict upper triangle only, so by antisymmetry its
+    output is the rank-one base term minus these rows.
     """
     w = plan.diff_weights
     n = plan.length
@@ -264,12 +239,19 @@ def _exact_draws(seed, stream_index, sizes):
         yield [Fraction(v) for v in real_vector(rng, n)], [Fraction(v) for v in real_vector(rng, n)]
 
 
+def _block_run(kernel, data):
+    """One block's public run on exact data: (plan, aligned data, rank-one
+    base term, output)."""
+    plan = block_plan(kernel)
+    y = reverse_permute(data)
+    return plan, y, plan.kernel_mean * reduce(add, y), plan.run(data, OpTally())
+
+
 def _antisymmetry_suite(seed, stream_index):
     mismatches = 0
     for kernel, data in _exact_draws(seed, stream_index, range(2, 17)):
-        plan = block_plan(kernel)
-        trace = trace_convolution(plan, data)
-        mismatches += trace.component_sums != pair_table_rows(plan, trace.aligned)
+        plan, y, base, out = _block_run(kernel, data)
+        mismatches += out != [base - row for row in pair_table_rows(plan, y)]
     return _exact_suite("pair-table-antisymmetry", "2-16", mismatches)
 
 
@@ -277,8 +259,8 @@ def _component_sum_suite(seed, stream_index):
     mismatches = 0
     for kernel, data in _exact_draws(seed, stream_index, range(2, 17)):
         oracle = correction_oracle(kernel, data)
-        engine = trace_convolution(block_plan(kernel), data).component_sums
-        mismatches += reduce(add, oracle, 0) != 0 or oracle != engine
+        _, _, base, out = _block_run(kernel, data)
+        mismatches += reduce(add, oracle, 0) != 0 or out != [base - c for c in oracle]
     return _exact_suite("component-sums-zero", "2-16", mismatches)
 
 

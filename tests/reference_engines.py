@@ -79,8 +79,8 @@ def vectors(tally: OpTally, run) -> Ring:
 
 
 def block_schedule(plan, y, ring: Ring):
-    """fast._execute's schedule on aligned ring elements ``y``: returns
-    (base, upper table, sums, output).  Negation is free."""
+    """FastPlan.run's schedule on aligned ring elements ``y``: returns the
+    output.  Negation is free."""
     n = len(y)
     w = plan.diff_weights
 
@@ -115,8 +115,7 @@ def block_schedule(plan, y, ring: Ring):
     else:
         sums.append(-reduce(add, sums, 0))
 
-    out = [ring.sub(base, value) for value in sums]
-    return base, upper, sums, out
+    return [ring.sub(base, value) for value in sums]
 
 
 def negate(value):
@@ -124,11 +123,8 @@ def negate(value):
 
 
 def fast_execute(plan, data, tally: OpTally):
-    """fast._execute for a single-block plan: returns (aligned, base, upper
-    table, sums, output)."""
-    y = reverse_permute(data)
-    base, upper, sums, out = block_schedule(plan, y, scalars(tally))
-    return y, base, upper, sums, out
+    """FastPlan.run for a single-block plan: returns the output."""
+    return block_schedule(plan, reverse_permute(data), scalars(tally))
 
 
 def fast_run(plan, data, tally: OpTally) -> list:
@@ -137,11 +133,10 @@ def fast_run(plan, data, tally: OpTally) -> list:
     if isinstance(plan, UnitPlan):
         return direct([plan.coefficient], data, tally)
     if isinstance(plan, FastPlan):
-        return fast_execute(plan, data, tally)[4]
+        return fast_execute(plan, data, tally)
     rows = good_thomas_rows(plan, data)
     y = rows[:1] + rows[:0:-1]  # outer reversal alignment
-    *_, outs = block_schedule(plan.block, y, vectors(tally, fast_run))
-    return good_thomas_scatter(plan, outs)
+    return good_thomas_scatter(plan, block_schedule(plan.block, y, vectors(tally, fast_run)))
 
 
 def good_thomas_rows(plan, data) -> list:

@@ -3,11 +3,12 @@ import csv
 import io
 import json
 import re
+from numbers import Number
 
 import pytest
 
 from helpers import complex_samples, rng_for
-from primeconv import transforms, verification
+from primeconv import fast, transforms, verification
 from primeconv.cli import build_parser, main
 from primeconv.core import Signal
 from primeconv.transforms import ConvolutionEngine, naive_dft
@@ -238,6 +239,27 @@ def test_verify_inject_fault_fails_at_each_size(capsys, fast_prime_fault, n):
                            "--format", "csv")
     assert code == 1
     assert failed_suites(out, 6) == ["oracle-equivalence-real", "oracle-equivalence-complex",
+                                     "rader-vs-naive"]
+
+
+def test_verify_fault_in_the_block_output_fails_the_lemma_suites(capsys, monkeypatch):
+    # The two lemma suites read the block's public run, so a fault in its
+    # output fails them too, beside the suites that run fast-prime against
+    # an oracle.  Only scalar blocks are moved: a nested plan's outer block
+    # runs on lane vectors, whose inner scalar blocks carry the fault.
+    original = fast.FastPlan.run
+
+    def perturbed(plan, z, tally):
+        out = original(plan, z, tally)
+        if isinstance(out[0], Number):
+            out[0] += 1e-3
+        return out
+
+    monkeypatch.setattr(fast.FastPlan, "run", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--sizes", "5", "--trials", "2", "--format", "csv")
+    assert code == 1
+    assert failed_suites(out, 4) == ["oracle-equivalence-real", "oracle-equivalence-complex",
+                                     "pair-table-antisymmetry", "component-sums-zero",
                                      "rader-vs-naive"]
 
 

@@ -1,7 +1,5 @@
 from fractions import Fraction
-from functools import reduce
 from math import gcd, prod
-from operator import add
 from typing import NamedTuple
 
 import pytest
@@ -17,11 +15,7 @@ from primeconv.fast import (
     predicted_counts,
 )
 from primeconv.nesting import NestedPlan, UnitPlan, block_lengths, nest
-from primeconv.verification import (
-    block_plan,
-    explicit_plan_weights,
-    trace_convolution,
-)
+from primeconv.verification import block_plan, explicit_plan_weights
 
 
 # --- plans ------------------------------------------------------------------
@@ -247,57 +241,3 @@ def test_multiplication_lower_bound():
     for n in range(4, 30):
         if n != 6:
             assert predicted_counts(n)[0] > multiplication_lower_bound(n), n
-
-
-# --- trace internals --------------------------------------------------------
-
-def test_trace_shapes_and_output():
-    rng = rng_for(17)
-    for n in range(2, 10):
-        kernel = real_samples(rng, n)
-        data = real_samples(rng, n)
-        plan = block_plan(kernel)
-        trace = trace_convolution(plan, data)
-        assert len(trace.aligned) == n
-        assert len(trace.component_sums) == n
-        assert trace.output == fast_cyclic_convolution(plan, data)
-
-
-def test_trace_component_sums_cancel_exactly():
-    # The reconstructed last component makes the sum zero in exact float
-    # arithmetic, not merely to within roundoff, when summed as the engine
-    # rebuilds it: a left fold from 0 (sum() compensates from Python 3.12).
-    rng = rng_for(18)
-    for n in range(2, 17):
-        plan = block_plan(real_samples(rng, n))
-        trace = trace_convolution(plan, real_samples(rng, n))
-        assert reduce(add, trace.component_sums, 0) == 0.0
-
-
-def test_trace_base_term():
-    rng = rng_for(20)
-    for n in range(2, 10):
-        kernel = real_samples(rng, n)
-        data = real_samples(rng, n)
-        trace = trace_convolution(block_plan(kernel), data)
-        assert trace.base == pytest.approx(sum(kernel) * sum(data) / n)
-
-
-def test_output_equals_base_minus_components():
-    rng = rng_for(21)
-    for n in range(2, 10):
-        trace = trace_convolution(block_plan(real_samples(rng, n)), real_samples(rng, n))
-        rebuilt = [trace.base - h for h in trace.component_sums]
-        assert max_relative_error(rebuilt, trace.output) < 1e-15
-
-
-def test_trace_rejects_nested_plan():
-    with pytest.raises(ValueError, match="length-6 plan is not one"):
-        trace_convolution(plan_create([1.0] * 6), [1.0] * 6)
-    with pytest.raises(ValueError, match="length-1 plan is not one"):
-        trace_convolution(plan_create([1.0]), [1.0])
-
-
-def test_trace_rejects_data_of_another_length():
-    with pytest.raises(ValueError, match="plan length 5 does not match data length 4"):
-        trace_convolution(block_plan([1.0] * 5), [1.0] * 4)

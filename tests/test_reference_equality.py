@@ -13,7 +13,6 @@ from primeconv.counting import OpTally
 from primeconv.fast import plan_create
 from primeconv.polycrt import _reduce_mod_all_ones, poly_mul, two_factor_plan
 from primeconv.transforms import ConvolutionEngine
-from primeconv.verification import block_plan, trace_convolution
 
 # 60 = 3 * 4 * 5 nests over a composite prime-power block; 210 = 2 * 3 * 5 * 7
 # nests four levels deep; 498 = 2 * 3 * 83 is Rader's length at p = 499.
@@ -75,20 +74,6 @@ def test_engine_matches_reference_loops_bit_for_bit(engine, reference, make):
         assert bits(got) == bits(want), n
         assert tally == want_tally, n
         assert bits(run(data)) == bits(got), n
-
-
-@MAKERS
-def test_fast_trace_matches_reference_intermediates(make):
-    for n, kernel, data in inputs(make, 801):
-        if n < 2:
-            continue
-        plan = block_plan(kernel)
-        trace = trace_convolution(plan, data)
-        aligned, base, upper, sums, out = ref.fast_execute(plan, data, OpTally())
-        assert bits(trace.aligned) == bits(aligned), n
-        assert bits([trace.base]) == bits([base]), n
-        assert bits(trace.component_sums) == bits(sums), n
-        assert bits(trace.output) == bits(out), n
 
 
 def coefficient_pairs(make, index: int):
