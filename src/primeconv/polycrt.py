@@ -18,6 +18,8 @@ residue r mod Phi (degree at most n - 2) and a point value v at x = 1,
 
 so f[k] = r[k] + c below the top and f[n-1] = c.  That is 2n - 2
 additions and one multiplication, all on data and all tallied.
+``TwoFactorPlan.run`` holds the whole schedule (point product, both
+reductions, product and recombination) and charges each phase once.
 
 That is one block, used as is at prime-power lengths; like every block it
 reads natural-order samples, and it needs no alignment.  Other lengths nest
@@ -91,39 +93,22 @@ def two_factor_system(n: int) -> float:
     return 1.0 / n
 
 
-def _reduce_mod_all_ones(coeffs, n: int, tally: OpTally | None = None) -> list:
+def _reduce_mod_all_ones(coeffs, n: int, tally: OpTally) -> list:
     """Residue mod x^{n-1} + ... + 1 using additions only.
 
-    First wrap exponents mod n (valid because the modulus divides x^n - 1),
-    then eliminate the x^{n-1} term via x^{n-1} = -(x^{n-2} + ... + 1).
-    Takes at least n - 1 coefficients and returns exactly n - 1.
+    First wrap exponents n and up onto 0 and up (valid because the modulus
+    divides x^n - 1), then eliminate the x^{n-1} term via
+    x^{n-1} = -(x^{n-2} + ... + 1).  Takes n - 1 to 2n coefficients, so one
+    wrap suffices, and returns exactly n - 1.
     """
-    if tally is None:
-        tally = OpTally()
     work = list(coeffs[:n])
-    for start in range(n, len(coeffs), n):
-        wrapped = coeffs[start:start + n]
-        work[:len(wrapped)] = map(add, work, wrapped)
-    tally.adds += max(0, len(coeffs) - n)
+    wrapped = coeffs[n:]
+    work[:len(wrapped)] = map(add, work, wrapped)
+    tally.adds += len(wrapped)
     if len(work) == n:
         work = list(map(sub, work[:n - 1], repeat(work[n - 1])))
         tally.adds += n - 1
     return work
-
-
-def two_factor_recombine(point, residue, tally: OpTally | None = None) -> list:
-    """The length-n sequence with value ``point`` at x = 1 and residue
-    ``residue`` (n - 1 coefficients) mod the all-ones factor.
-
-    Tallies 1 multiplication and 2n - 2 additions.
-    """
-    if tally is None:
-        tally = OpTally()
-    n = len(residue) + 1
-    c = (point - reduce(add, residue)) * two_factor_system(n)
-    tally.mults += 1
-    tally.adds += 2 * n - 2
-    return [r + c for r in residue] + [c]
 
 
 class TwoFactorPlan(NamedTuple):
@@ -142,8 +127,8 @@ class TwoFactorPlan(NamedTuple):
 
     @classmethod
     def build(cls, b) -> "TwoFactorPlan":
-        # Kernel-only arithmetic: precomputation, never tallied.
-        return cls(reduce(add, b, 0), tuple(_reduce_mod_all_ones(b, len(b))))
+        # Kernel-only arithmetic: precomputation, charged to a scratch tally.
+        return cls(reduce(add, b, 0), tuple(_reduce_mod_all_ones(b, len(b), OpTally())))
 
     @staticmethod
     def counts(q: int) -> tuple[int, int, int]:
@@ -155,17 +140,20 @@ class TwoFactorPlan(NamedTuple):
         return len(self.kernel_residue) + 1
 
     def run(self, z, tally: OpTally) -> list:
-        """The block's output on data ``z``: a point product, residues mod
-        the all-ones factor multiplied by schoolbook, and the closed-form
-        recombination."""
+        """The block's output on natural-order data ``z``: a point product,
+        residues mod the all-ones factor multiplied by schoolbook, and the
+        closed-form recombination f = r + c * Phi, c = (v - r(1)) / n."""
         n = self.length
         point_product = self.kernel_total * reduce(add, z)
         tally.adds += n - 1
         tally.mults += 1
         data_residue = _reduce_mod_all_ones(z, n, tally)
         product = poly_mul(self.kernel_residue, data_residue, tally)
-        ones_residue = _reduce_mod_all_ones(product, n, tally)
-        return two_factor_recombine(point_product, ones_residue, tally)
+        residue = _reduce_mod_all_ones(product, n, tally)
+        c = (point_product - reduce(add, residue)) * two_factor_system(n)
+        tally.mults += 1
+        tally.adds += 2 * n - 2
+        return [r + c for r in residue] + [c]
 
 
 def two_factor_plan(kernel) -> "TwoFactorPlan | NestedPlan | UnitPlan":

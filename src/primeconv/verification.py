@@ -12,9 +12,11 @@ the oracles are exact.  ``verify`` draws real samples, converts them to
 (pair-table antisymmetry, zero-sum corrections, the identity decomposition
 and the seed matrix's rank) as exact identities; only the equivalence,
 CRT and Rader suites compare floats against a tolerance.  The two lemmas
-about the block are checked on the output of its public ``run``: it must
-equal the rank-one base term minus the pair table's rows, and minus the
-oracle's corrections.
+about fast-prime's block are checked on the output of its public
+``run``: it must equal the rank-one base term minus the pair table's rows,
+and minus the oracle's corrections.  The CRT round trip runs the
+two-factor block's public ``run`` too: on a unit impulse it recombines
+the residues its plan split the target into.
 """
 
 from fractions import Fraction
@@ -26,7 +28,7 @@ from typing import NamedTuple
 from .core import as_signal, direct_cyclic_convolution, max_relative_error
 from .counting import OpTally
 from .fast import FastPlan
-from .polycrt import two_factor_plan, two_factor_recombine
+from .polycrt import two_factor_plan
 from .transforms import ConvolutionEngine, cyclic_convolution, dft_plan, naive_dft, rader_dft
 
 
@@ -282,10 +284,12 @@ def _crt_suite(seed, stream_index, tol):
     primes = (2, 3, 5, 7, 11, 13)
     worst = 0.0
     for p in primes:
+        impulse = [1.0] + [0.0] * (p - 1)
         for _ in range(10):
             target = real_vector(rng, p)
-            split = two_factor_plan(target)  # one block at a prime: sum and residue
-            rebuilt = two_factor_recombine(split.kernel_total, split.kernel_residue)
+            # One block at a prime: the plan splits the target into its sum and
+            # residue, and the block's run on a unit impulse recombines them.
+            rebuilt = two_factor_plan(target).run(impulse, OpTally())
             worst = max(worst, max_relative_error(rebuilt, target))
     return _tolerance_suite("crt-round-trip", worst, tol, f"primes={_fmt_sizes(primes)} trials=10")
 

@@ -8,7 +8,7 @@ from numbers import Number
 import pytest
 
 from helpers import complex_samples, rng_for
-from primeconv import fast, transforms, verification
+from primeconv import fast, polycrt, transforms, verification
 from primeconv.cli import build_parser, main
 from primeconv.core import Signal
 from primeconv.transforms import ConvolutionEngine, naive_dft
@@ -194,9 +194,9 @@ BROKEN_INGREDIENTS = {
                             lambda kernel, data: (0,) * len(kernel)),
     "identity-decomposition": (verification, "identity_decomposition_residual", lambda n: 1.0),
     "seed-matrix-rank": (verification, "matrix_rank", len),
-    # verification's own binding: the two-factor engine keeps the real one.
-    "crt-round-trip": (verification, "two_factor_recombine",
-                       lambda point, residue: [0.0] * (len(residue) + 1)),
+    # verification's own binding: the engines reach the plan through transforms'.
+    "crt-round-trip": (verification, "two_factor_plan",
+                       lambda kernel: polycrt.two_factor_plan([0.0] * len(kernel))),
     "rader-vs-naive": (verification, "naive_dft", lambda data: [0.0] * len(data)),
 }
 
@@ -261,6 +261,25 @@ def test_verify_fault_in_the_block_output_fails_the_lemma_suites(capsys, monkeyp
     assert failed_suites(out, 4) == ["oracle-equivalence-real", "oracle-equivalence-complex",
                                      "pair-table-antisymmetry", "component-sums-zero",
                                      "rader-vs-naive"]
+
+
+def test_verify_fault_in_the_two_factor_block_fails_the_crt_suite(capsys, monkeypatch):
+    # crt-round-trip reads the two-factor block's public run, so a fault in
+    # its output fails that suite beside the ones that run two-factor against
+    # an oracle.  Only scalar blocks are moved, as for fast-prime above.
+    original = polycrt.TwoFactorPlan.run
+
+    def perturbed(plan, z, tally):
+        out = original(plan, z, tally)
+        if isinstance(out[0], Number):
+            out[0] += 1e-3
+        return out
+
+    monkeypatch.setattr(polycrt.TwoFactorPlan, "run", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--sizes", "5", "--trials", "2", "--format", "csv")
+    assert code == 1
+    assert failed_suites(out, 5) == ["oracle-equivalence-real", "oracle-equivalence-complex",
+                                     "crt-round-trip", "rader-vs-naive"]
 
 
 def test_verify_out_file_still_prints_summary(tmp_path, capsys):

@@ -63,6 +63,25 @@ def imports(module: str, top_level: bool = False) -> list:
     return found
 
 
+def references(name: str) -> list:
+    """(module, enclosing class and function) for each use of ``name`` in the
+    package, as a bare name or an attribute."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if name in (getattr(child, "id", None), getattr(child, "attr", None)):
+                found.append((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return found
+
+
 def package_modules(module: str) -> set:
     return {source for source, _ in imports(module) if (PACKAGE / f"{source}.py").exists()}
 
@@ -83,6 +102,15 @@ def test_each_engine_builds_and_counts_its_block_on_its_plan_type(module, kind):
     # The plan type also runs its block: no module-level schedule beside it.
     assert {"build", "counts", "engine", "run"} <= set(vars(kind)), kind
     assert not {"_block", "_block_counts", "_execute"} & set(vars(module)), module.__name__
+
+
+def test_two_factor_recombines_only_in_its_block_run():
+    # The closed-form recombination is inline in TwoFactorPlan.run, the one
+    # place that reads the per-length constant, and verify's CRT suite runs it.
+    assert not hasattr(polycrt, "two_factor_recombine")
+    assert [name for source, name in imports("verification") if source == "polycrt"] == [
+        "two_factor_plan"]
+    assert references("two_factor_system") == [("polycrt", "TwoFactorPlan.run")]
 
 
 def test_nesting_has_one_length_domain():

@@ -11,7 +11,6 @@ from primeconv.polycrt import (
     poly_mul,
     two_factor_plan,
     two_factor_predicted_counts,
-    two_factor_recombine,
     two_factor_system,
     winograd_two_factor_convolution,
 )
@@ -45,25 +44,36 @@ def test_poly_mul_count_formula():
 
 
 def test_reduce_mod_all_ones_wraps_every_power():
-    # x^6 = (x^3)^2 == 1 mod x^2 + x + 1: every exponent at or above n wraps,
-    # including those at or above 2n.
-    tally = OpTally()
-    assert _reduce_mod_all_ones([0.0] * 6 + [1.0], 3, tally) == [1.0, 0.0]
-    assert tally.counts == (0, 4 + 2)
+    # x^n == 1 and x^{n-1} == -(1 + ... + x^{n-2}) mod 1 + x + ... + x^{n-1}:
+    # each power reduces at the lengths the engine passes, the data's n and
+    # the product's 2n - 3, charging one add per wrapped exponent and n - 1
+    # for the eliminated top.
+    for n in range(2, 12):
+        for size in (n, 2 * n - 3):
+            for k in range(size):
+                tally = OpTally()
+                got = _reduce_mod_all_ones([float(j == k) for j in range(size)], n, tally)
+                if k % n < n - 1:
+                    assert got == [float(j == k % n) for j in range(n - 1)], (n, size, k)
+                else:
+                    assert got == [-1.0] * (n - 1), (n, size, k)
+                assert tally.counts == (0, max(0, size - n) + (n - 1) * (size >= n)), (n, size)
 
 
 def test_crt_round_trip_random():
-    # (value at x = 1, residue mod the all-ones factor) recombines to the
-    # sequence itself, and the recombination charges (1, 2n - 2).
+    # The plan splits the target into its value at x = 1 and its residue mod
+    # the all-ones factor; the block's run on a unit impulse recombines them,
+    # charging the block's budget ((n-1)^2 + 2, n^2 + 2n - 4).
     rng = rng_for(33)
     for n in range(2, 12):
+        impulse = [1.0] + [0.0] * (n - 1)
         for _ in range(20):
             target = real_samples(rng, n)
             tally = OpTally()
-            rebuilt = two_factor_recombine(sum(target), _reduce_mod_all_ones(target, n), tally)
+            rebuilt = TwoFactorPlan.build(target).run(impulse, tally)
             assert max(abs(a - b) for a, b in zip(rebuilt, target)) < 1e-10
             assert len(rebuilt) == n
-            assert tally.counts == (1, 2 * n - 2)
+            assert tally.counts == ((n - 1) ** 2 + 2, n * n + 2 * n - 4)
 
 
 def test_two_factor_system_is_inverse_length():

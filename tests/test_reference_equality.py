@@ -107,8 +107,8 @@ def test_poly_mul_matches_reference_loop(make):
 def test_reduce_mod_all_ones_matches_reference_loop(make):
     rng = rng_for(804)
     for n in range(2, 41):
-        # Every caller passes at least n - 1 coefficients: the product's
-        # 2n - 3 at n = 2, otherwise n or more.
+        # Callers pass n - 1 to 2n coefficients: the kernel and data n, the
+        # product 2n - 3, which is n - 1 at n = 2.
         for size in (n - 1, n, n + 1, 2 * n - 3, 2 * n):
             coeffs = make(rng, size)
             for values in (coeffs, signed_zeros(len(coeffs), n)):
