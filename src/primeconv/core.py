@@ -133,8 +133,9 @@ def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Sig
 
     Tallies exactly n*n multiplications and n*(n-1) additions.  This is
     the oracle: each output starts from b[0]*z[p] and adds b[l]*z[(p-l)
-    mod n] in ascending l, with no shared subexpressions.  Four outputs share one pass over l; that grouping
-    changes the loop, not the arithmetic.
+    mod n] in ascending l, with no shared subexpressions.  Four outputs
+    share one pass over l (``four_slot_pass``); that grouping changes the
+    loop, not the arithmetic.
     """
     b = as_signal(kernel)
     z = as_signal(data)
@@ -145,23 +146,15 @@ def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Sig
     n = len(b)
     zs = z.samples
     b0, rest = b.samples[0], b.samples[1:]
-    # rev[n - 1 - p + l] == z[(p - l) mod n], so output p reads one window.
+    # rev[n - 1 - p + l] == z[(p - l) mod n], so output p reads one window,
+    # and output p+k's window is output p's shifted by k.
     rev = zs[::-1] * 2
     out = []
     grouped = n - n % 4
-    # Outputs p ... p+3 in one pass: each b[l] is read once, and output
-    # p+k's window is output p's shifted by k, so the sample output p reads
-    # at step l moves down a register for output p+1 at step l+1.
     for p in range(0, grouped, 4):
-        x1, x2, x3 = zs[p:p + 3]
-        a0, a1, a2, a3 = b0 * x1, b0 * x2, b0 * x3, b0 * zs[p + 3]
-        for bl, x0 in zip(rest, rev[n - p:2 * n - 1 - p]):
-            a0 += bl * x0
-            a1 += bl * x1
-            a2 += bl * x2
-            a3 += bl * x3
-            x1, x2, x3 = x0, x1, x2
-        out += (a0, a1, a2, a3)
+        x1, x2, x3, x4 = zs[p:p + 4]
+        out += four_slot_pass(rest, rev[n - p:2 * n - 1 - p], x1, x2, x3,
+                              b0 * x1, b0 * x2, b0 * x3, b0 * x4)
     for p in range(grouped, n):
         acc = b0 * rev[n - 1 - p]
         for bl, zl in zip(rest, rev[n - p:2 * n - 1 - p]):
@@ -170,6 +163,26 @@ def direct_cyclic_convolution(kernel, data, tally: OpTally | None = None) -> Sig
     tally.mults += n * n
     tally.adds += n * (n - 1)
     return checked_result(out, "direct", n)
+
+
+def four_slot_pass(coeffs, window, x1, x2, x3, s0, s1, s2, s3) -> tuple:
+    """The quadratic loop of direct and of ``polycrt.poly_mul``: four running
+    sums s0..s3 of consecutive slots take one product each per step, in one
+    pass over ``coeffs``, and come back as a tuple.
+
+    At each step slot 0 multiplies the coefficient by the next sample of
+    ``window``, and slot j + 1 by the sample slot j read one step before,
+    x1..x3 at the first step; so each sample moves down a register per
+    step and each coefficient is read once.  Every sum adds ``c * x`` with
+    the coefficient on the left, in the order of ``coeffs``.
+    """
+    for c, x0 in zip(coeffs, window):
+        s0 += c * x0
+        s1 += c * x1
+        s2 += c * x2
+        s3 += c * x3
+        x1, x2, x3 = x0, x1, x2
+    return s0, s1, s2, s3
 
 
 def direct_predicted_counts(n: int) -> tuple[int, int]:

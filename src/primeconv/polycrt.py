@@ -37,7 +37,7 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .counting import OpTally, Scalar
-from .core import Signal
+from .core import Signal, four_slot_pass
 from .nesting import NestedPlan, UnitPlan, nest, nested_counts, run_plan
 
 
@@ -55,33 +55,60 @@ def poly_mul(a, b, tally: OpTally | None = None) -> list:
                          f"got lengths {la} and {lb}")
     if tally is None:
         tally = OpTally()
-    # Row order: row i adds a[i] * b[k - i] to slots k = i .. i + lb - 1, so
-    # slot k sums its products in ascending i, seeded by its first one, with
-    # a on the left.  Rows run in groups of four, i..i+3: slots i, i+1 and
-    # i+2 take their one to three new products inline, one pass adds all
-    # four to each of slots i+3 .. i+lb-2, and the four new top slots are
-    # appended, each seeded by its first product.  Leftover rows, and every
-    # row when lb < 5, run one at a time.
-    out = [a[0] * bj for bj in b]
-    i = 1
-    if lb >= 5:
-        b0, b1, b2 = b[0], b[1], b[2]
-        e1, e2, e3, e4 = b[-1], b[-2], b[-3], b[-4]
-        b1s, b2s, b3s = b[1:], b[2:], b[3:]
-        while i + 3 < la:
+    # Slot order: slot k sums a[i] * b[k - i] over its i in ascending order,
+    # seeded by its first product, with a on the left.  At step i slot k
+    # reads rb[lb - 1 - k + i], the sample slot k - 1 read at step i - 1, so
+    # four consecutive slots whose ranges of i line up share one register
+    # pass.  Slots 0 .. low - 1 all start at i = 0 (lower triangle): the
+    # pass runs to the group's first slot's last i, and the three later
+    # slots add their last one to three products after it.  Slots from high
+    # on all end at i = la - 1 (upper triangle): the first three slots take
+    # their first one to three products before the pass.  Each triangle's
+    # zero to three leftover slots are its shortest, one to three products
+    # written out; the band between the triangles runs one slot at a time.
+    rb = b[::-1]
+    top = la + lb - 1
+    low = min(la, lb)
+    high = max(low, top - low)
+    lead, trail = low % 4, (top - high) % 4
+    a0, rest = a[0], a[1:]
+    out = []
+    if lead:
+        out.append(a0 * b[0])
+    if lead > 1:
+        out.append(a0 * b[1] + a[1] * b[0])
+    if lead > 2:
+        out.append(a0 * b[2] + a[1] * b[1] + a[2] * b[0])
+    for k in range(lead, low, 4):
+        x1, x2, x3, x4 = b[k:k + 4]
+        s0, s1, s2, s3 = four_slot_pass(rest, rb[lb - k:], x1, x2, x3,
+                                        a0 * x1, a0 * x2, a0 * x3, a0 * x4)
+        ai, aj, ak = a[k + 1:k + 4]
+        out += (s0, s1 + ai * b[0], s2 + ai * b[1] + aj * b[0],
+                s3 + ai * b[2] + aj * b[1] + ak * b[0])
+    for k in range(low, high):
+        # zip stops at the slot's last product: a runs out, or rb does.
+        pairs = zip(a, rb[lb - 1 - k:]) if k < lb else zip(a[k - lb + 1:], rb)
+        ai, x = next(pairs)
+        acc = ai * x
+        for ai, x in pairs:
+            acc += ai * x
+        out.append(acc)
+    e1 = rb[0]
+    if top - high >= 4:
+        e2, e3, e4 = rb[1:4]
+        tail = rb[4:]
+        for i in range(high - lb + 1, la - 3 - trail, 4):  # a group's first i
             ai, aj, ak, am = a[i:i + 4]
-            o0, o1, o2 = out[i:i + 3]
-            middle = [o + ai * x0 + aj * x1 + ak * x2 + am * x3
-                      for o, x0, x1, x2, x3 in zip(out[i + 3:], b3s, b2s, b1s, b)]
-            out[i:] = (o0 + ai * b0, o1 + ai * b1 + aj * b0, o2 + ai * b2 + aj * b1 + ak * b0)
-            out += middle
-            out += (ai * e1 + aj * e2 + ak * e3 + am * e4, aj * e1 + ak * e2 + am * e3,
-                    ak * e1 + am * e2, am * e1)
-            i += 4
-    for i in range(i, la):
-        ai = a[i]
-        out[i:] = [o + ai * bj for o, bj in zip(out[i:], b)]
-        out.append(ai * b[-1])
+            out += four_slot_pass(a[i + 4:], tail, e4, e3, e2,
+                                  ai * e1 + aj * e2 + ak * e3 + am * e4,
+                                  aj * e1 + ak * e2 + am * e3, ak * e1 + am * e2, am * e1)
+    if trail > 2:
+        out.append(a[-3] * e1 + a[-2] * rb[1] + a[-1] * rb[2])
+    if trail > 1:
+        out.append(a[-2] * e1 + a[-1] * rb[1])
+    if trail:
+        out.append(a[-1] * e1)
     tally.mults += la * lb
     tally.adds += (la - 1) * (lb - 1)
     return out

@@ -41,7 +41,7 @@ MODULE_NAMES = {
               "two_factor_predicted_counts", "poly_mul"),
     nesting: ("NestedPlan", "UnitPlan", "block_lengths", "good_thomas_order", "nest",
               "nested_counts"),
-    core: ("as_signal", "direct_predicted_counts", "factorize"),
+    core: ("as_signal", "direct_predicted_counts", "factorize", "four_slot_pass"),
     transforms: ("find_primitive_root",),
 }
 
@@ -111,6 +111,13 @@ def test_two_factor_recombines_only_in_its_block_run():
     assert [name for source, name in imports("verification") if source == "polycrt"] == [
         "two_factor_plan"]
     assert references("two_factor_system") == [("polycrt", "TwoFactorPlan.run")]
+
+
+def test_direct_and_poly_mul_share_one_four_slot_pass():
+    # The quadratic register pass is written once, in core, and only the two
+    # schoolbook loops call it.
+    assert set(references("four_slot_pass")) == {("core", "direct_cyclic_convolution"),
+                                                  ("polycrt", "poly_mul")}
 
 
 def test_nesting_has_one_length_domain():

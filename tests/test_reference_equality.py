@@ -16,10 +16,11 @@ from primeconv.transforms import ConvolutionEngine
 
 # 60 = 3 * 4 * 5 nests over a composite prime-power block; 210 = 2 * 3 * 5 * 7
 # nests four levels deep; 498 = 2 * 3 * 83 is Rader's length at p = 499.
-# Fast-prime runs rows 1 .. n - 2 of a block in groups of four, and direct
-# runs four outputs per pass: sizes 1-40 cover every remainder of both
-# groupings on scalar blocks, and 77 = 7 * 11 and 143 = 11 * 13 run
-# fast-prime's on lane vectors, in outer blocks of 7 and 11.
+# Fast-prime runs rows 1 .. n - 2 of a block in groups of four, direct runs
+# four outputs per pass, and two-factor's poly_mul four slots per pass in
+# each triangle of its product: sizes 1-40 cover every remainder of the
+# three groupings on scalar blocks, and 77 = 7 * 11 and 143 = 11 * 13 run
+# fast-prime's and two-factor's on lane vectors, in outer blocks of 7 and 11.
 SIZES = tuple(range(1, 41)) + (60, 77, 97, 143, 210, 498, 499)
 ZERO_SIZES = tuple(range(1, 41)) + (97,)
 
@@ -78,11 +79,15 @@ def test_engine_matches_reference_loops_bit_for_bit(engine, reference, make):
 
 def coefficient_pairs(make, index: int):
     """Operand pairs of every length combination up to 12, plus longer
-    unequal pairs and zero operands.
+    pairs and zero operands.
 
-    poly_mul runs rows 1 .. la - 1 in groups of four when lb >= 5 and one
-    at a time otherwise: lengths up to 12 reach every remainder of that
-    grouping and the lb < 5 path; the longer pairs run several full groups.
+    poly_mul runs its lower and upper triangles of slots four to a pass
+    once the shorter operand has four coefficients, writes out each
+    triangle's zero to three leftover slots, and runs the band between the
+    triangles one slot at a time: lengths up to 12 reach every remainder
+    of that grouping and the short operands; 23 .. 26 and 82 (Rader's
+    83-point residue) run several groups in both triangles at every
+    remainder mod 4, and the unequal pairs run a band beside them.
     """
     rng = rng_for(index)
     for la in range(1, 13):
@@ -90,7 +95,8 @@ def coefficient_pairs(make, index: int):
             yield make(rng, la), make(rng, lb)
     yield make(rng, 5), signed_zeros(7, 0)
     yield signed_zeros(4, 1), signed_zeros(6, 2)
-    for la, lb in ((13, 5), (5, 13), (21, 9), (9, 21), (22, 22)):
+    for la, lb in ((13, 5), (5, 13), (21, 9), (9, 21), (22, 22), (23, 23), (24, 24),
+                   (25, 25), (26, 26), (82, 82), (40, 17), (17, 40)):
         yield make(rng, la), make(rng, lb)
     yield make(rng, 9), signed_zeros(10, 3)
 
