@@ -41,36 +41,31 @@ from .core import Signal, four_slot_pass
 from .nesting import NestedPlan, UnitPlan, nest, nested_counts, run_plan
 
 
-def poly_mul(a, b, tally: OpTally | None = None) -> list:
-    """Schoolbook product of two coefficient sequences, tallying every
-    coefficient multiply and add.
+def poly_mul(a, b, tally: OpTally) -> list:
+    """Schoolbook product of two coefficient sequences of one length L,
+    tallying every coefficient multiply and add: L*L multiplications and
+    (L-1)*(L-1) accumulating additions.
 
-    Counts are driven by the sequence lengths: len(a)*len(b)
-    multiplications and (len(a)-1)*(len(b)-1) accumulating additions.
-    Both operands need at least one coefficient.
+    Empty operands, or operands of unequal length, raise ``ValueError``
+    before anything is charged.
     """
-    la, lb = len(a), len(b)
-    if not la or not lb:
-        raise ValueError(f"poly_mul needs at least one coefficient in each operand, "
-                         f"got lengths {la} and {lb}")
-    if tally is None:
-        tally = OpTally()
+    size = len(a)
+    if not size or len(b) != size:
+        raise ValueError(f"poly_mul needs two operands of one length L >= 1, "
+                         f"got lengths {size} and {len(b)}")
     # Slot order: slot k sums a[i] * b[k - i] over its i in ascending order,
     # seeded by its first product, with a on the left.  At step i slot k
-    # reads rb[lb - 1 - k + i], the sample slot k - 1 read at step i - 1, so
-    # four consecutive slots whose ranges of i line up share one register
-    # pass.  Slots 0 .. low - 1 all start at i = 0 (lower triangle): the
+    # reads rb[size - 1 - k + i], the sample slot k - 1 read at step i - 1,
+    # so four consecutive slots whose ranges of i line up share one register
+    # pass.  Slots 0 .. size - 1 all start at i = 0 (lower triangle): the
     # pass runs to the group's first slot's last i, and the three later
-    # slots add their last one to three products after it.  Slots from high
-    # on all end at i = la - 1 (upper triangle): the first three slots take
-    # their first one to three products before the pass.  Each triangle's
-    # zero to three leftover slots are its shortest, one to three products
-    # written out; the band between the triangles runs one slot at a time.
+    # slots add their last one to three products after it.  Slots from size
+    # on all end at i = size - 1 (upper triangle): the first three slots
+    # take their first one to three products before the pass.  Each
+    # triangle's zero to three leftover slots are its shortest, one to three
+    # products written out.
     rb = b[::-1]
-    top = la + lb - 1
-    low = min(la, lb)
-    high = max(low, top - low)
-    lead, trail = low % 4, (top - high) % 4
+    lead, trail = size % 4, (size - 1) % 4
     a0, rest = a[0], a[1:]
     out = []
     if lead:
@@ -79,26 +74,18 @@ def poly_mul(a, b, tally: OpTally | None = None) -> list:
         out.append(a0 * b[1] + a[1] * b[0])
     if lead > 2:
         out.append(a0 * b[2] + a[1] * b[1] + a[2] * b[0])
-    for k in range(lead, low, 4):
+    for k in range(lead, size, 4):
         x1, x2, x3, x4 = b[k:k + 4]
-        s0, s1, s2, s3 = four_slot_pass(rest, rb[lb - k:], x1, x2, x3,
+        s0, s1, s2, s3 = four_slot_pass(rest, rb[size - k:], x1, x2, x3,
                                         a0 * x1, a0 * x2, a0 * x3, a0 * x4)
         ai, aj, ak = a[k + 1:k + 4]
         out += (s0, s1 + ai * b[0], s2 + ai * b[1] + aj * b[0],
                 s3 + ai * b[2] + aj * b[1] + ak * b[0])
-    for k in range(low, high):
-        # zip stops at the slot's last product: a runs out, or rb does.
-        pairs = zip(a, rb[lb - 1 - k:]) if k < lb else zip(a[k - lb + 1:], rb)
-        ai, x = next(pairs)
-        acc = ai * x
-        for ai, x in pairs:
-            acc += ai * x
-        out.append(acc)
     e1 = rb[0]
-    if top - high >= 4:
+    if size > 4:
         e2, e3, e4 = rb[1:4]
         tail = rb[4:]
-        for i in range(high - lb + 1, la - 3 - trail, 4):  # a group's first i
+        for i in range(1, size - 3 - trail, 4):  # a group's first i
             ai, aj, ak, am = a[i:i + 4]
             out += four_slot_pass(a[i + 4:], tail, e4, e3, e2,
                                   ai * e1 + aj * e2 + ak * e3 + am * e4,
@@ -109,8 +96,8 @@ def poly_mul(a, b, tally: OpTally | None = None) -> list:
         out.append(a[-2] * e1 + a[-1] * rb[1])
     if trail:
         out.append(a[-1] * e1)
-    tally.mults += la * lb
-    tally.adds += (la - 1) * (lb - 1)
+    tally.mults += size * size
+    tally.adds += (size - 1) * (size - 1)
     return out
 
 

@@ -120,6 +120,11 @@ def test_direct_and_poly_mul_share_one_four_slot_pass():
                                                   ("polycrt", "poly_mul")}
 
 
+def test_poly_mul_has_one_caller():
+    # The block's run is the only traffic, two residues of one length.
+    assert references("poly_mul") == [("polycrt", "TwoFactorPlan.run")]
+
+
 def test_nesting_has_one_length_domain():
     # n = 1 is the nest over no parts; no engine-named length check remains.
     assert not {"require_length", "kernel_blocks"} & set(vars(nesting))

@@ -25,22 +25,22 @@ def test_poly_mul_counts():
 
 
 def test_poly_mul_rejects_empty_operands():
-    # An empty operand has no product to seed a slot with: it is refused,
-    # naming both lengths, before anything is charged.
-    for a, b in (([], []), ([], [1.0, 2.0]), ([1.0, 2.0], [])):
+    # An empty operand has no product to seed a slot with, and the one caller
+    # multiplies two residues of one length, n - 1: empty or unequal operands
+    # are refused, naming both lengths, before anything is charged.
+    for la, lb in ((0, 0), (0, 2), (2, 0), (1, 2), (2, 1), (5, 7), (7, 5), (17, 40), (40, 17)):
         tally = OpTally()
-        with pytest.raises(ValueError, match=f"lengths {len(a)} and {len(b)}"):
-            poly_mul(a, b, tally)
+        with pytest.raises(ValueError, match=f"lengths {la} and {lb}"):
+            poly_mul([1.0] * la, [2.0] * lb, tally)
         assert tally.counts == (0, 0)
 
 
 def test_poly_mul_count_formula():
     rng = rng_for(30)
-    for la in range(1, 7):
-        for lb in range(1, 7):
-            tally = OpTally()
-            poly_mul(real_samples(rng, la), real_samples(rng, lb), tally)
-            assert tally.counts == (la * lb, (la - 1) * (lb - 1))
+    for size in range(1, 13):
+        tally = OpTally()
+        poly_mul(real_samples(rng, size), real_samples(rng, size), tally)
+        assert tally.counts == (size * size, (size - 1) ** 2)
 
 
 def test_reduce_mod_all_ones_wraps_every_power():
