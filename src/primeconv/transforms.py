@@ -3,7 +3,8 @@
 Provides the engine protocol (``ConvolutionEngine``: kernel preparation and
 closed-form budgets), a naive DFT oracle, prime-length DFT via the Rader
 reindexing (one length p-1 cyclic convolution against a fixed twiddle
-kernel, nested as 2 x (p-1)/2 at p = 3 mod 4), and linear
+kernel, nested as 2 x (p-1)/2 at p = 3 mod 4 and run there as four real
+convolutions of length (p-1)/2), and linear
 convolution by zero padding to the length where the chosen engine's
 predicted count is least.
 """
@@ -170,13 +171,19 @@ def _rader_runner(plan: DftPlan, engine: ConvolutionEngine):
     At p = 3 (mod 4) h = (p - 1) / 2 is odd, and length 2h nests as the
     Good-Thomas 2 x h: ``good_thomas_order(2, h)``, composed here with the
     plan's input and output orders, makes a request one gather into two
-    rows and one scatter of two.  Between them the 2-point block runs the
-    rows' sum and difference through two length-h engine runs, A and C,
-    and returns A + C and A - C: 4h adds, and direct's (2h)^2 products
-    become 2h^2.  Its kernels, the kernel rows' half sum and difference,
-    are computed from kernel[:h] alone, as kernel[t + h] = conj(kernel[t])
-    (g^h = -1 mod p).  At p = 1 (mod 4) and p = 2 the engine runs the
-    whole kernel once.
+    rows and one scatter of two.  Between them the 2-point block convolves
+    the rows' sum with the kernel rows' half sum and their difference with
+    the half difference, and returns A + C and A - C.  As kernel[t + h] =
+    conj(kernel[t]) (g^h = -1 mod p), the half sum is real, c1 = Re, and
+    the half difference imaginary, i * c2; both are computed from
+    kernel[:h] alone and kept as floats.  So the block runs in real
+    arithmetic: the rows are gathered as their real and imaginary parts,
+    and four float engine runs of length h give A = A_re + i A_im against
+    c1 and C = i (Q_re + i Q_im) against c2; the bins take
+    complex(A_re - Q_im, A_im + Q_re) and complex(A_re + Q_im, A_im - Q_re).
+    That is 8h float adds, and direct's (2h)^2 complex products become
+    4h^2 float ones.  At p = 1 (mod 4) and p = 2 the kernel is neither real
+    nor imaginary, and the engine runs the whole kernel once, complex.
 
     Keyed by value, so equal plans share one runner; a ``Signal`` keeps
     its hash, so a warm lookup hashes the index orders, not the twiddles.
@@ -191,17 +198,22 @@ def _rader_runner(plan: DftPlan, engine: ConvolutionEngine):
     order = good_thomas_order(2, h)
     rows = [kernel[k] if k < h else kernel[k - h].conjugate() for k in order]
     pairs = list(zip(rows[:h], rows[h:]))
-    run_sum = engine.prepare([(x + y) / 2 for x, y in pairs])
-    run_diff = engine.prepare([(x - y) / 2 for x, y in pairs])
+    run_real = engine.prepare([(x + y).real / 2 for x, y in pairs])
+    run_imag = engine.prepare([(x - y).imag / 2 for x, y in pairs])
     gather = [plan.input_order[k] for k in order]
     even, odd = gather[:h], gather[h:]
     bins = [plan.output_order[k] for k in order]
+    name = engine.value
 
     def split(xs):
-        row0, row1 = [xs[i] for i in even], [xs[i] for i in odd]
-        a = run_sum(checked_result(map(add, row0, row1), engine.value, p)).samples
-        c = run_diff(checked_result(map(sub, row0, row1), engine.value, p)).samples
-        return zip(bins, [*map(add, a, c), *map(sub, a, c)])
+        re0, re1 = [xs[i].real for i in even], [xs[i].real for i in odd]
+        im0, im1 = [xs[i].imag for i in even], [xs[i].imag for i in odd]
+        a_re = run_real(checked_result(map(add, re0, re1), name, p)).samples
+        a_im = run_real(checked_result(map(add, im0, im1), name, p)).samples
+        q_re = run_imag(checked_result(map(sub, re0, re1), name, p)).samples
+        q_im = run_imag(checked_result(map(sub, im0, im1), name, p)).samples
+        return zip(bins, [*map(complex, map(sub, a_re, q_im), map(add, a_im, q_re)),
+                          *map(complex, map(add, a_re, q_im), map(sub, a_im, q_re))])
 
     return split
 
@@ -212,8 +224,9 @@ def rader_dft(plan: DftPlan, data, engine: ConvolutionEngine = ConvolutionEngine
     X[0] is the plain sample sum; for k >= 1 the bins are x[0] plus the
     cyclic convolution of the permuted input with the twiddle kernel.
     At p = 3 (mod 4) that convolution nests as the Good-Thomas 2 x (p-1)/2
-    (see ``_rader_runner``), so at p = 499 direct makes 124,002 products,
-    not 248,004.
+    and runs as four real convolutions of length (p-1)/2 (see
+    ``_rader_runner``), so at p = 499 direct makes 4 * 249^2 = 248,004
+    float products where one run at 498 would make 248,004 complex ones.
     Any engine works at every prime, p = 2 through one length-1 product.
     Fast-prime and two-factor nest over the prime-power parts of the
     length they run (249 = 3 * 83 at p = 499), and a part that is a

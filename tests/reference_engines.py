@@ -5,6 +5,9 @@ checked against: one ``counted_*`` call per scalar operation, in the order
 the engine performs them.  The engines run the same arithmetic with inline
 operators over slices and charge their tallies once per loop; the
 reference-equality tests require bit-identical outputs and identical tallies.
+``rader_split_complex`` is Rader's split with complex-typed half kernels,
+composed from the engines' public runners: the reference for the split's
+real arithmetic.
 """
 
 from collections.abc import Callable
@@ -15,7 +18,7 @@ from typing import NamedTuple
 from primeconv.core import as_signal
 from primeconv.counting import OpTally, Scalar
 from primeconv.fast import FastPlan
-from primeconv.nesting import UnitPlan
+from primeconv.nesting import UnitPlan, good_thomas_order
 from primeconv.polycrt import TwoFactorPlan
 from primeconv.verification import reverse_permute
 
@@ -212,3 +215,32 @@ def two_factor(plan, data, tally: OpTally) -> list:
         return two_factor_block(plan, as_signal(data).samples, scalars(tally))
     rows = good_thomas_rows(plan, data)
     return good_thomas_scatter(plan, two_factor_block(plan.block, rows, vectors(tally, two_factor)))
+
+
+def rader_split_complex(plan, data, engine) -> list:
+    """transforms.rader_dft at p = 3 (mod 4) with its half kernels typed
+    complex: two length-h engine runs, h = (p - 1) / 2, through the engine's
+    public runner, on the Good-Thomas rows' sum u and difference v.
+
+    Row entry c of the twiddle kernel's 2 x h rows is kernel[c] at even c
+    and its conjugate at odd c (kernel[t + h] = conj(kernel[t])), so the
+    rows' half sum is complex(Re kernel[c], 0.0) and their half difference
+    complex(0.0, +-Im kernel[c]).  Then A = run(u), C = run(v), and the
+    bins of rows 0 and 1 take x[0] + (A + C) and x[0] + (A - C).
+    """
+    xs = as_signal(data).samples
+    p = plan.length
+    h = (p - 1) // 2
+    order = good_thomas_order(2, h)
+    half = plan.kernel.samples[:h]
+    c1 = [complex(w.real, 0.0) for w in half]
+    c2 = [complex(0.0, -w.imag if c % 2 else w.imag) for c, w in enumerate(half)]
+    row0 = [xs[plan.input_order[k]] for k in order[:h]]
+    row1 = [xs[plan.input_order[k]] for k in order[h:]]
+    a = engine.prepare(c1)([x + y for x, y in zip(row0, row1)]).samples
+    c = engine.prepare(c2)([x - y for x, y in zip(row0, row1)]).samples
+    out = [complex(reduce(add, xs, 0))] * p
+    combined = [u + v for u, v in zip(a, c)] + [u - v for u, v in zip(a, c)]
+    for k, value in zip(order, combined):
+        out[plan.output_order[k]] = xs[0] + value
+    return out

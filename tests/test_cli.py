@@ -581,12 +581,15 @@ def test_dft_out_file_bytes(tmp_path, capsys, engine):
     assert target.read_bytes() == want.encode()
 
 
-# The p = 7 twin: 6 = 2 (mod 4), so Rader runs two length-3 convolutions
-# and combines them, and these are the signs that split leaves.
+# The p = 7 twin: 6 = 2 (mod 4), so Rader runs four real length-3
+# convolutions and combines them, and these are the signs that split leaves.
+# Every convolution output is an exact zero, and its sign is the engine's
+# float arithmetic's: no complex multiply's 0 * b cross term turns a -0.0
+# into +0.0 (naive_dft's accumulator, started at +0.0, gives +0.0 in every bin).
 DFT_SPLIT_ZERO_IMAG_SIGNS = {
     "direct": ("0.0", "0.0", "0.0", "0.0", "0.0", "-0.0", "0.0"),
-    "fast-prime": ("0.0", "0.0", "0.0", "-0.0", "0.0", "0.0", "-0.0"),
-    "winograd-two-factor": ("0.0", "0.0", "0.0", "0.0", "0.0", "0.0", "0.0"),
+    "fast-prime": ("0.0", "-0.0", "0.0", "0.0", "-0.0", "0.0", "0.0"),
+    "winograd-two-factor": ("0.0", "0.0", "-0.0", "0.0", "0.0", "0.0", "0.0"),
 }
 
 

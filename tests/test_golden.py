@@ -15,8 +15,8 @@ them, each engine at its own padded length (fast-prime embeds n = 23 at
 60).  Convolution is pure IEEE arithmetic, so these bits, signed zeros
 included, are the same everywhere.  ``dft.txt`` holds the same for
 ``dft`` on ``tests/golden/dft/``: real and complex samples with mixed
-signed zeros at p = 5, 13 (Rader length 12 = 3 * 4) and 31 (two Rader
-convolutions of length 15, through the twiddles' symmetry).  Its bits also
+signed zeros at p = 5, 13 (Rader length 12 = 3 * 4) and 31 (four real
+Rader convolutions of length 15, through the twiddles' symmetry).  Its bits also
 depend on the twiddles ``cmath.exp`` returns, which agree on CPython
 3.10-3.13 with glibc's libm.  Both run in-process, where the suite's
 ``filterwarnings = ["error"]`` makes every warning an error, and their

@@ -52,8 +52,11 @@ def counting_types(counter: OpCounter):
     and stays kernel-valued.  The mark is needed because a plain complex on
     the left of a float subclass computes without consulting the subclass,
     so a complex kernel weight times a real data difference would go
-    uncharged.  Negation is free.  The arithmetic is the plain float/complex
-    operation, so results are bit-identical to an uncounted run.
+    uncharged.  Negation is free, and ``.real`` and ``.imag`` keep the
+    mark, as floats: Rader's split runs the parts of its data through real
+    engine runs against the parts of its kernel.  The arithmetic is the
+    plain float/complex operation, so results are bit-identical to an
+    uncounted run.
     """
 
     def plain(value):
@@ -96,6 +99,14 @@ def counting_types(counter: OpCounter):
 
         def __neg__(self):
             return (data if isinstance(self, Counting) else kernel)(-plain(self))
+
+        @property
+        def real(self):
+            return (data if isinstance(self, Counting) else kernel)(plain(self).real)
+
+        @property
+        def imag(self):
+            return (data if isinstance(self, Counting) else kernel)(plain(self).imag)
 
     class Counting(Lifted):
         __slots__ = ()
@@ -160,21 +171,24 @@ def test_physical_counts_match_closed_forms(engine, make):
 
 
 def rader_physical(engine, p: int) -> tuple[int, int]:
-    """Rader's physical (mults, adds) at prime p: r engine runs at length m,
-    where r = 2 and m = h = (p - 1) / 2 at p = 3 (mod 4), the 2 x h split,
-    and r = 1 and m = p - 1 otherwise; p adds for X[0] (a fold from 0) and
-    p - 1 for the x[0] + scatter; and at the split 4h for the rows' sum and
-    difference and the A + C, A - C combine."""
-    split = (p - 1) % 4 == 2
-    r, m = (2, (p - 1) // 2) if split else (1, p - 1)
-    mults, adds = PHYSICAL[engine](m)
-    return r * mults, r * adds + (2 * p - 1) + 2 * (p - 1) * split
+    """Rader's physical (mults, adds) at prime p.  At p = 3 (mod 4), the
+    2 x h split with h = (p - 1) / 2, four real engine runs at length h, two
+    per half kernel on the real and imaginary parts of its rows, and 8h
+    float adds: the rows' sums and differences, part by part, and the four
+    lines of the combine.  Otherwise one engine run at length p - 1.  Either
+    way p adds for X[0] (a fold from 0) and p - 1 for the x[0] + scatter."""
+    if (p - 1) % 4 != 2:
+        mults, adds = PHYSICAL[engine](p - 1)
+        return mults, adds + (2 * p - 1)
+    h = (p - 1) // 2
+    mults, adds = PHYSICAL[engine](h)
+    return 4 * mults, 4 * adds + 8 * h + (2 * p - 1)
 
 
 RADER_AT_499 = {
-    ConvolutionEngine.DIRECT: (124_002, 125_497),
-    ConvolutionEngine.FAST_PRIME: (27_232, 86_321),
-    ConvolutionEngine.WINOGRAD_TWO_FACTOR: (67_426, 74_329),
+    ConvolutionEngine.DIRECT: (248_004, 249_997),
+    ConvolutionEngine.FAST_PRIME: (54_464, 171_645),
+    ConvolutionEngine.WINOGRAD_TWO_FACTOR: (134_852, 147_661),
 }
 
 

@@ -6,6 +6,7 @@ from operator import add
 
 import pytest
 
+import reference_engines as ref
 from helpers import bits, complex_samples, mixed_samples, next_prime, real_samples, rng_for
 from primeconv import transforms
 from primeconv.core import (
@@ -278,7 +279,8 @@ def test_rader_builds_each_engine_plan_once_per_prime(cold_rader_runners, monkey
         for each in (plan, twin):
             for engine in ALL_ENGINES:
                 assert max_relative_error(rader_dft(each, data, engine), want) < 1e-9
-    # 31 = 3 (mod 4): Rader runs two half kernels, each planned once.
+    # 31 = 3 (mod 4): Rader plans two real half kernels, each once, and runs
+    # each on the real and the imaginary parts of its rows.
     assert built == ["plan_create"] * 2 + ["two_factor_plan"] * 2
 
 
@@ -310,9 +312,10 @@ def test_engine_replaced_after_a_first_dft_reaches_the_next(cold_rader_runners, 
                                                             engine, name):
     # ConvolutionEngine looks its runners up when called, so a kept Rader
     # runner still reaches a replacement made after it was built: once at
-    # p = 13, and at p = 31 once per half.
+    # p = 13, and at p = 31 four times, each half kernel on the real and
+    # the imaginary parts of its rows.
     original = getattr(transforms, name)
-    for p, runs in ((13, 1), (31, 2)):
+    for p, runs in ((13, 1), (31, 4)):
         data = complex_samples(rng_for(48), p)
         plan = dft_plan(p)
         first = rader_dft(plan, data, engine)
@@ -329,30 +332,50 @@ def test_engine_replaced_after_a_first_dft_reaches_the_next(cold_rader_runners, 
 
 
 @pytest.mark.parametrize("engine, name, counts", [
-    (ConvolutionEngine.DIRECT, "direct_cyclic_convolution", (124_002, 123_504)),
-    (ConvolutionEngine.FAST_PRIME, "fast_cyclic_convolution", (27_232, 83_340)),
+    (ConvolutionEngine.DIRECT, "direct_cyclic_convolution", (62_001, 61_752)),
+    (ConvolutionEngine.FAST_PRIME, "fast_cyclic_convolution", (13_616, 41_670)),
     (ConvolutionEngine.WINOGRAD_TWO_FACTOR, "winograd_two_factor_convolution",
-     (67_426, 72_336)),
+     (33_713, 36_168)),
 ], ids=["direct", "fast-prime", "two-factor"])
 def test_rader_at_499_runs_two_half_length_convolutions(cold_rader_runners, monkeypatch,
                                                         engine, name, counts):
     # p - 1 = 498 = 2 (mod 4), so Rader runs two convolutions of length 249
-    # through the twiddle kernel's conjugate symmetry: twice the engine's
-    # budget at 249, where direct's (2h)^2 = 248,004 products become 2h^2.
-    # Rader's own 4h = 996 adds form the halves' inputs and combine them.
-    lengths, tally = [], OpTally()
+    # through the twiddle kernel's conjugate symmetry, against a real and an
+    # imaginary half kernel.  Each runs in real arithmetic, as two float runs
+    # on the real and imaginary parts of its rows: four runs, each tallying
+    # the engine's budget at 249, so direct's (2h)^2 = 248,004 complex
+    # products become 4h^2 = 248,004 float ones.  Rader's own 8h = 1,992 float adds form
+    # the runs' inputs and combine them.
+    calls = []
     original = getattr(transforms, name)
 
     def spy(plan, data, _tally=None):
-        lengths.append(len(data))
-        return original(plan, data, tally)
+        tally = OpTally()
+        out = original(plan, data, tally)
+        calls.append((len(data), {type(v) for v in data}, tally.counts))
+        return out
 
     monkeypatch.setattr(transforms, name, spy)
     data = complex_samples(rng_for(50), 499)
     got = rader_dft(dft_plan(499), data, engine)
-    assert lengths == [249, 249]
-    assert tally.counts == counts == tuple(2 * c for c in engine.predicted_counts(249))
+    assert calls == [(249, {float}, counts)] * 4
+    assert counts == engine.predicted_counts(249)
     assert max_relative_error(got, naive_dft(data)) < 1e-12
+
+
+@pytest.mark.parametrize("make", [real_samples, complex_samples, mixed_samples],
+                         ids=["real", "complex", "mixed"])
+@pytest.mark.parametrize("engine", ALL_ENGINES, ids=["direct", "fast-prime", "two-factor"])
+def test_rader_split_matches_complex_half_kernels_bit_for_bit(engine, make):
+    # The split's four real runs give the bits of two complex runs against
+    # complex-typed half kernels: (c1 + 0j) * z and 1j * c2 * z differ from
+    # the float products only in cross terms 0 * b, which change no
+    # nonzero sum.
+    rng = rng_for(51)
+    for p in [q for q in PRIMES_BELOW_600 if q % 4 == 3 and q < 200] + [499]:
+        plan, data = dft_plan(p), make(rng, p)
+        assert bits(rader_dft(plan, data, engine)) == bits(
+            ref.rader_split_complex(plan, data, engine)), p
 
 
 def alternating_extremes(p: int) -> list:
